@@ -195,7 +195,7 @@ class BenchReport {
 
   // Accumulates simulator events executed/scheduled across the run's
   // scenarios; feeds the events_per_wall_sec ledger metric. The count itself
-  // is also recorded as an exact sim metric — the timer wheel / event-pool
+  // is also recorded as an exact sim metric — event-store / event-pool
   // changes must not alter how many events a seeded scenario schedules.
   void Events(std::uint64_t scheduled) { events_total_ += scheduled; }
 

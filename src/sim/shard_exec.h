@@ -5,7 +5,7 @@
 // trunks: a channel's MAC, serial lines and stations never touch another
 // channel's state directly, and every cross-channel path crosses a link with
 // a real, bounded latency. A ShardSet exploits that: one Simulator (and so
-// one PR 6 timer wheel) per shard, with cross-shard events carried as
+// one event heap) per shard, with cross-shard events carried as
 // explicit handoffs instead of shared-queue inserts. Three execution modes:
 //
 //   * kUnified — every shard aliases ONE Simulator. This is exactly the

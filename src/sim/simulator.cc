@@ -1,26 +1,8 @@
 #include "src/sim/simulator.h"
 
-#include <bit>
-
 #include "src/util/panic.h"
 
 namespace upr {
-
-namespace {
-Simulator::EventQueue& DefaultQueueSlot() {
-  static Simulator::EventQueue q = Simulator::EventQueue::kTimerWheel;
-  return q;
-}
-}  // namespace
-
-void Simulator::SetDefaultEventQueue(EventQueue q) { DefaultQueueSlot() = q; }
-Simulator::EventQueue Simulator::default_event_queue() {
-  return DefaultQueueSlot();
-}
-
-Simulator::Simulator() : Simulator(default_event_queue()) {}
-Simulator::Simulator(EventQueue q) : mode_(q) {}
-Simulator::~Simulator() = default;
 
 std::uint64_t Simulator::Schedule(SimTime delay, std::function<void()> fn) {
   if (delay < 0) {
@@ -29,189 +11,82 @@ std::uint64_t Simulator::Schedule(SimTime delay, std::function<void()> fn) {
   return ScheduleAt(now_ + delay, std::move(fn));
 }
 
-Simulator::Event* Simulator::AllocEvent() {
-  Event* ev;
+std::uint32_t Simulator::AllocEvent() {
+  std::uint32_t index;
   if (!free_.empty()) {
-    ev = free_.back();
+    index = free_.back();
     free_.pop_back();
   } else {
-    pool_.push_back(std::make_unique<Event>());
-    ev = pool_.back().get();
-    ev->pool_index = static_cast<std::uint32_t>(pool_.size() - 1);
+    index = static_cast<std::uint32_t>(pool_.size());
+    pool_.emplace_back();
   }
   // The generation stamp bumps per allocation, so a Cancel() holding an id
   // from a previous tenant of this slot is a guaranteed no-op.
-  ++ev->gen;
-  ev->cancelled = false;
-  ev->prev = nullptr;
-  ev->next = nullptr;
-  return ev;
+  ++pool_[index].gen;
+  return index;
 }
 
-void Simulator::Recycle(Event* ev) {
-  ev->fn = nullptr;  // release the closure's captures now, not at reuse
-  ev->loc = kLocFree;
-  ev->prev = nullptr;
-  ev->next = nullptr;
-  free_.push_back(ev);
+void Simulator::Recycle(std::uint32_t index) {
+  Event& ev = pool_[index];
+  ev.fn = nullptr;  // release the closure's captures now, not at reuse
+  ev.heap_pos = kNotQueued;
+  free_.push_back(index);
 }
 
 std::uint64_t Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
   if (when < now_) {
     when = now_;
   }
-  Event* ev = AllocEvent();
-  ev->when = when;
-  ev->seq = next_seq_++;
-  ev->fn = std::move(fn);
-  Place(ev);
-  ++pending_;
-  return (static_cast<std::uint64_t>(ev->gen) << 32) | ev->pool_index;
+  std::uint32_t index = AllocEvent();
+  Event& ev = pool_[index];
+  ev.fn = std::move(fn);
+  std::uint64_t id = (static_cast<std::uint64_t>(ev.gen) << 32) | index;
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, Entry{when, next_seq_++, index});
+  return id;
 }
 
-void Simulator::Place(Event* ev) {
-  if (mode_ == EventQueue::kTimerWheel) {
-    auto when_u = static_cast<std::uint64_t>(ev->when);
-    for (int level = 0; level < kLevels; ++level) {
-      if ((when_u >> Shift(level)) - base_[level] <
-          static_cast<std::uint64_t>(kSlots)) {
-        WheelInsert(ev, level);
-        return;
+void Simulator::SiftUp(std::size_t pos, const Entry& e) {
+  while (pos > 0) {
+    std::size_t parent = (pos - 1) / 4;
+    if (!Earlier(e, heap_[parent])) {
+      break;
+    }
+    Put(pos, heap_[parent]);
+    pos = parent;
+  }
+  Put(pos, e);
+}
+
+void Simulator::SiftDown(std::size_t pos, const Entry& e) {
+  // Bottom-up: walk the hole to a leaf along the earliest children, then
+  // sift `e` up from there. The refill entry is usually among the latest
+  // (always so for same-instant fan-out), so this saves a compare per level,
+  // and the final SiftUp also places an `e` earlier than pos's parent.
+  const std::size_t n = heap_.size();
+  for (;;) {
+    std::size_t first = 4 * pos + 1;
+    if (first >= n) {
+      break;
+    }
+    std::size_t last = first + 4 < n ? first + 4 : n;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < last; ++c) {
+      if (Earlier(heap_[c], heap_[best])) {
+        best = c;
       }
     }
+    Put(pos, heap_[best]);
+    pos = best;
   }
-  ev->loc = kLocHeap;
-  queue_.push(ev);
+  SiftUp(pos, e);
 }
 
-void Simulator::WheelInsert(Event* ev, int level) {
-  auto slot = static_cast<int>(
-      (static_cast<std::uint64_t>(ev->when) >> Shift(level)) & (kSlots - 1));
-  ev->loc = static_cast<std::int8_t>(level);
-  ev->slot = static_cast<std::uint16_t>(slot);
-  ev->prev = nullptr;
-  ev->next = slots_[level][slot];
-  if (ev->next != nullptr) {
-    ev->next->prev = ev;
-  }
-  slots_[level][slot] = ev;
-  occ_[level][slot >> 6] |= std::uint64_t{1} << (slot & 63);
-  ++wheel_count_;
-  if (cached_min_valid_ &&
-      (cached_min_ == nullptr || Earlier(ev, cached_min_))) {
-    cached_min_ = ev;
-  }
-}
-
-void Simulator::WheelUnlink(Event* ev) {
-  int level = ev->loc;
-  int slot = ev->slot;
-  UPR_INVARIANT(level >= 0 && level < kLevels,
-                "wheel unlink of non-resident event seq %llu",
-                static_cast<unsigned long long>(ev->seq));
-  if (ev->prev != nullptr) {
-    ev->prev->next = ev->next;
-  } else {
-    slots_[level][slot] = ev->next;
-  }
-  if (ev->next != nullptr) {
-    ev->next->prev = ev->prev;
-  }
-  if (slots_[level][slot] == nullptr) {
-    occ_[level][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  }
-  ev->prev = nullptr;
-  ev->next = nullptr;
-  --wheel_count_;
-  if (cached_min_ == ev) {
-    cached_min_ = nullptr;
-    cached_min_valid_ = false;
-  }
-}
-
-int Simulator::FindOccupied(int level, int from) const {
-  const std::uint64_t* occ = occ_[level];
-  int word = from >> 6;
-  std::uint64_t bits = occ[word] >> (from & 63);
-  if (bits != 0) {
-    return from + std::countr_zero(bits);
-  }
-  for (int w = word + 1; w < kSlots / 64; ++w) {
-    if (occ[w] != 0) {
-      return w * 64 + std::countr_zero(occ[w]);
-    }
-  }
-  // Wrap: slots modularly behind `from` hold later absolute slot indices
-  // (all deltas are < kSlots), so scanning them second preserves time order.
-  for (int w = 0; w <= word; ++w) {
-    if (occ[w] != 0) {
-      return w * 64 + std::countr_zero(occ[w]);
-    }
-  }
-  return -1;
-}
-
-Simulator::Event* Simulator::WheelScanMin() const {
-  Event* best = nullptr;
-  for (int level = 0; level < kLevels; ++level) {
-    int slot = FindOccupied(level, static_cast<int>(base_[level] & (kSlots - 1)));
-    if (slot < 0) {
-      continue;
-    }
-    for (Event* ev = slots_[level][slot]; ev != nullptr; ev = ev->next) {
-      if (best == nullptr || Earlier(ev, best)) {
-        best = ev;
-      }
-    }
-  }
-  return best;
-}
-
-Simulator::Event* Simulator::WheelMin() {
-  if (!cached_min_valid_) {
-    cached_min_ = WheelScanMin();
-    cached_min_valid_ = true;
-  }
-  return cached_min_;
-}
-
-void Simulator::CascadeSlot(int level, int slot) {
-  Event* ev = slots_[level][slot];
-  if (ev == nullptr) {
-    return;
-  }
-  slots_[level][slot] = nullptr;
-  occ_[level][slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-  while (ev != nullptr) {
-    Event* next = ev->next;
-    ev->prev = nullptr;
-    ev->next = nullptr;
-    --wheel_count_;
-    Place(ev);  // re-buckets at a finer level; set membership is unchanged
-    ev = next;
-  }
-}
-
-void Simulator::AdvanceWheel(SimTime t) {
-  if (mode_ != EventQueue::kTimerWheel) {
-    return;
-  }
-  auto t_u = static_cast<std::uint64_t>(t);
-  if ((t_u >> Shift(0)) == base_[0]) {
-    return;  // same finest-level slot: nothing can have re-bucketed
-  }
-  bool changed[kLevels];
-  for (int level = 0; level < kLevels; ++level) {
-    std::uint64_t nb = t_u >> Shift(level);
-    changed[level] = nb != base_[level];
-    base_[level] = nb;
-  }
-  // Top-down so a slot cascading out of level 3 can land straight in the
-  // freshly positioned level 2/1/0 buckets.
-  for (int level = kLevels - 1; level >= 1; --level) {
-    if (changed[level]) {
-      CascadeSlot(level, static_cast<int>(base_[level] & (kSlots - 1)));
-    }
+void Simulator::RemoveAt(std::size_t pos) {
+  Entry last = heap_.back();
+  heap_.pop_back();
+  if (pos < heap_.size()) {
+    SiftDown(pos, last);
   }
 }
 
@@ -221,104 +96,44 @@ void Simulator::Cancel(std::uint64_t id) {
   if (index >= pool_.size()) {
     return;
   }
-  Event* ev = pool_[index].get();
-  if (ev->gen != gen || ev->loc == kLocFree || ev->cancelled) {
+  const Event& ev = pool_[index];
+  if (ev.gen != gen || ev.heap_pos == kNotQueued) {
     return;  // already ran, already cancelled, or a stale id
   }
-  if (ev->loc == kLocHeap) {
-    // The heap has no O(1) remove; leave a tombstone that PopNext recycles
-    // when it surfaces.
-    ev->cancelled = true;
-    ev->fn = nullptr;
-  } else {
-    WheelUnlink(ev);
-    Recycle(ev);
-  }
-  UPR_INVARIANT(pending_ > 0, "pending event count underflow cancelling %llu",
-                static_cast<unsigned long long>(id));
-  --pending_;
-}
-
-void Simulator::DrainHeapTombstones() {
-  while (!queue_.empty() && queue_.top()->cancelled) {
-    Event* ev = queue_.top();
-    queue_.pop();
-    Recycle(ev);
-  }
-}
-
-Simulator::Event* Simulator::PopNext() {
-  DrainHeapTombstones();
-  Event* heap_top = queue_.empty() ? nullptr : queue_.top();
-  Event* wheel_min = mode_ == EventQueue::kTimerWheel ? WheelMin() : nullptr;
-  Event* ev;
-  if (heap_top == nullptr && wheel_min == nullptr) {
-    return nullptr;
-  }
-  if (wheel_min == nullptr ||
-      (heap_top != nullptr && Earlier(heap_top, wheel_min))) {
-    queue_.pop();
-    ev = heap_top;
-    UPR_INVARIANT(ev->loc == kLocHeap,
-                  "event seq %llu surfaced from heap with wrong location",
-                  static_cast<unsigned long long>(ev->seq));
-  } else {
-    WheelUnlink(wheel_min);
-    ev = wheel_min;
-  }
-  UPR_INVARIANT(pending_ > 0, "pending event count underflow at seq %llu",
-                static_cast<unsigned long long>(ev->seq));
-  --pending_;
-  return ev;
-}
-
-bool Simulator::PeekNextTime(SimTime* when) {
-  DrainHeapTombstones();
-  Event* heap_top = queue_.empty() ? nullptr : queue_.top();
-  Event* wheel_min = mode_ == EventQueue::kTimerWheel ? WheelMin() : nullptr;
-  const Event* next = nullptr;
-  if (heap_top != nullptr && wheel_min != nullptr) {
-    next = Earlier(heap_top, wheel_min) ? heap_top : wheel_min;
-  } else {
-    next = heap_top != nullptr ? heap_top : wheel_min;
-  }
-  if (next == nullptr) {
-    return false;
-  }
-  *when = next->when;
-  return true;
+  UPR_INVARIANT(ev.heap_pos < heap_.size() && heap_[ev.heap_pos].index == index,
+                "event %u has a stale heap position %u", index, ev.heap_pos);
+  RemoveAt(ev.heap_pos);
+  Recycle(index);
 }
 
 bool Simulator::Step() {
-  Event* ev = PopNext();
-  if (!ev) {
+  if (heap_.empty()) {
     return false;
   }
-  UPR_INVARIANT(ev->when >= now_,
+  const Entry top = heap_.front();
+  RemoveAt(0);
+  UPR_INVARIANT(top.when >= now_,
                 "event seq %llu would move time backwards (%lld < %lld)",
-                static_cast<unsigned long long>(ev->seq),
-                static_cast<long long>(ev->when), static_cast<long long>(now_));
-  now_ = ev->when;
-  AdvanceWheel(now_);
+                static_cast<unsigned long long>(top.seq),
+                static_cast<long long>(top.when), static_cast<long long>(now_));
+  now_ = top.when;
   ++executed_;
   // Move the closure out and recycle before running: the callback may
   // schedule new events, which must be free to reuse this slot.
-  std::function<void()> fn = std::move(ev->fn);
-  Recycle(ev);
+  std::function<void()> fn = std::move(pool_[top.index].fn);
+  Recycle(top.index);
   fn();
   return true;
 }
 
 std::size_t Simulator::RunUntil(SimTime deadline) {
   std::size_t n = 0;
-  SimTime next = 0;
-  while (PeekNextTime(&next) && next <= deadline) {
+  while (!heap_.empty() && heap_.front().when <= deadline) {
     Step();
     ++n;
   }
   if (now_ < deadline) {
     now_ = deadline;
-    AdvanceWheel(now_);
   }
   return n;
 }
@@ -330,8 +145,6 @@ std::size_t Simulator::RunAll(std::size_t max_events) {
   }
   return n;
 }
-
-bool Simulator::Idle() const { return pending_ == 0; }
 
 void Timer::Restart(SimTime delay) {
   Stop();

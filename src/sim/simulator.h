@@ -5,16 +5,13 @@
 // in scheduling order (a monotonically increasing sequence number breaks
 // ties), so runs are bit-reproducible.
 //
-// Event storage is a hierarchical timer wheel (4 levels x 256 slots,
-// 65.536 µs base granularity, ~78 h horizon) with a binary heap as overflow
-// for beyond-horizon events. Wheel residents are doubly linked into their
-// slot, so Cancel() unlinks and recycles in O(1) — the protocol timers
+// Event storage is one indexed 4-ary min-heap of inline (when, seq, pool
+// index) keys over a pooled event store. Comparisons never touch an Event;
+// each pooled Event records its heap position, so Cancel() removes it in
+// O(log n) and recycles its slot at once — the protocol timers
 // (T1/T3/RTO/ARP/silo alarms) that are re-armed far more often than they
-// fire no longer leave tombstones behind the way the old single
-// priority_queue did (every cancelled entry used to stay queued, paying an
-// O(log n) pop and holding its pool slot until it surfaced). The execution
-// order is exactly the old (when, seq) order; `tools/check.sh` A/B-gates the
-// wheel against the legacy heap-only mode with tracediff.
+// fire leave no tombstones behind. N events at one instant (a frame fanned
+// out to every promiscuous TNC) cost O(log n) each, not a rescan per pop.
 //
 // Time is kept in integer nanoseconds (`SimTime`). Helpers convert from
 // humane units.
@@ -23,8 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
 #include <vector>
 
 namespace upr {
@@ -71,19 +66,7 @@ constexpr SimTime TransmitTime(std::size_t bytes, std::uint64_t bits_per_second)
 
 class Simulator {
  public:
-  // Event-queue implementation. kTimerWheel is the default; kHeap is the
-  // seed's single priority_queue with lazy tombstones, kept for the
-  // tracediff A/B equivalence gate (`uprsim --event-queue heap`).
-  enum class EventQueue { kTimerWheel, kHeap };
-
-  // Default used by Simulator() — lets tools select the implementation
-  // without threading a parameter through every scenario constructor.
-  static void SetDefaultEventQueue(EventQueue q);
-  static EventQueue default_event_queue();
-
-  Simulator();
-  explicit Simulator(EventQueue q);
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -95,7 +78,7 @@ class Simulator {
   std::uint64_t ScheduleAt(SimTime when, std::function<void()> fn);
 
   // Cancels a pending event; a no-op if it already ran or was cancelled.
-  // O(1) for wheel-resident events (unlink + immediate recycle).
+  // O(log n): the event leaves the heap and its pool slot recycles at once.
   void Cancel(std::uint64_t id);
 
   // Runs events until the queue is empty or `deadline` is passed. Events at
@@ -109,12 +92,18 @@ class Simulator {
   // Runs a single event if one is pending; returns false when idle.
   bool Step();
 
-  bool Idle() const;
+  bool Idle() const { return heap_.empty(); }
   // Timestamp of the earliest pending event without running it. Returns
   // false when the queue is empty. The sharded city executor merges shard
   // queues globally-by-time with this.
-  bool NextEventTime(SimTime* when) { return PeekNextTime(when); }
-  std::size_t pending_events() const { return pending_; }
+  bool NextEventTime(SimTime* when) const {
+    if (heap_.empty()) {
+      return false;
+    }
+    *when = heap_.front().when;
+    return true;
+  }
+  std::size_t pending_events() const { return heap_.size(); }
   std::size_t executed_events() const { return executed_; }
   // Total events ever scheduled (the interrupt-rate analogue: every serial
   // byte, timer and frame delivery passes through here).
@@ -123,102 +112,59 @@ class Simulator {
   // on a free list, so this tracks peak concurrency, not event count.
   std::size_t pool_capacity() const { return pool_.size(); }
   std::size_t pool_free() const { return free_.size(); }
-  // Events currently resident in the wheel vs. the overflow heap (the heap
-  // also counts not-yet-surfaced tombstones).
-  std::size_t wheel_resident() const { return wheel_count_; }
-  std::size_t heap_resident() const { return queue_.size(); }
 
  private:
-  // Wheel geometry: 4 levels of 256 slots. Level 0 slots are 2^16 ns
-  // (65.536 µs); each level is 256x coarser. Horizon = 2^48 ns ≈ 78 h;
-  // events beyond it overflow to the heap.
-  static constexpr int kLevels = 4;
-  static constexpr int kSlotBits = 8;
-  static constexpr int kSlots = 1 << kSlotBits;            // 256
-  static constexpr int kShift0 = 16;
-  static constexpr int Shift(int level) { return kShift0 + kSlotBits * level; }
+  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
 
-  static constexpr std::int8_t kLocFree = -3;
-  static constexpr std::int8_t kLocHeap = -2;
-  // loc >= 0: wheel level the event is linked into.
-
+  // Pooled event. `heap_pos` is its index in `heap_` while pending and
+  // kNotQueued while free or running.
   struct Event {
-    SimTime when = 0;
-    std::uint64_t seq = 0;
     std::function<void()> fn;
-    Event* prev = nullptr;  // intrusive slot links while wheel-resident
-    Event* next = nullptr;
-    std::uint32_t gen = 0;        // bumped on alloc; ids embed it
-    std::uint32_t pool_index = 0;
-    std::int8_t loc = kLocFree;
-    std::uint16_t slot = 0;
-    bool cancelled = false;  // heap tombstone flag
+    std::uint32_t gen = 0;  // bumped on alloc; ids embed it
+    std::uint32_t heap_pos = kNotQueued;
   };
-  struct EventCompare {
-    bool operator()(const Event* a, const Event* b) const {
-      if (a->when != b->when) {
-        return a->when > b->when;
-      }
-      return a->seq > b->seq;
-    }
+  // Inline heap key: ordering reads only this, never the Event.
+  struct Entry {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint32_t index;  // into pool_
   };
-  // Strict (when, seq) order — the execution order contract.
-  static bool Earlier(const Event* a, const Event* b) {
-    if (a->when != b->when) {
-      return a->when < b->when;
-    }
-    return a->seq < b->seq;
+  // Strict (when, seq) order — the execution order contract. seq is unique,
+  // so the pop order is independent of the heap's shape. `when` is never
+  // negative, so one 128-bit compare orders both fields without a branch
+  // (same-instant fan-out makes a two-step compare mispredict constantly).
+  static bool Earlier(const Entry& a, const Entry& b) {
+    using Key = unsigned __int128;
+    return (Key(static_cast<std::uint64_t>(a.when)) << 64 | a.seq) <
+           (Key(static_cast<std::uint64_t>(b.when)) << 64 | b.seq);
   }
 
   // Free-list allocation: events live in `pool_` for the simulator's
-  // lifetime and recycle through `free_` instead of a per-schedule
-  // make_shared (the old scheme paid an allocation and a control block per
-  // serial byte — the hot path bench_e5 measures).
-  Event* AllocEvent();
-  void Recycle(Event* ev);
+  // lifetime and recycle through `free_`, so a serial byte costs no
+  // allocation of its own (the hot path bench_e5 measures).
+  std::uint32_t AllocEvent();
+  void Recycle(std::uint32_t index);
 
-  // Queue placement and removal.
-  void Place(Event* ev);
-  void WheelInsert(Event* ev, int level);
-  void WheelUnlink(Event* ev);
-  // Earliest wheel resident by (when, seq), or nullptr. Cached; recomputed
-  // only when the cached minimum is removed.
-  Event* WheelMin();
-  Event* WheelScanMin() const;
-  // First occupied slot at `level` in wrap order starting at `from`; -1 when
-  // the level is empty.
-  int FindOccupied(int level, int from) const;
-  // Re-buckets coarse slots after now_ advances across slot boundaries.
-  void AdvanceWheel(SimTime t);
-  void CascadeSlot(int level, int slot);
-  // Drops cancelled heap tombstones off the top of the heap.
-  void DrainHeapTombstones();
+  // Writes `e` at heap position `pos` and records the position in its Event.
+  void Put(std::size_t pos, const Entry& e) {
+    heap_[pos] = e;
+    pool_[e.index].heap_pos = static_cast<std::uint32_t>(pos);
+  }
+  // Fill the hole at `pos` with `e`: SiftUp moves it toward the root,
+  // SiftDown moves the hole to a leaf first, so `e` may end up anywhere on
+  // that path.
+  void SiftUp(std::size_t pos, const Entry& e);
+  void SiftDown(std::size_t pos, const Entry& e);
+  // Removes the entry at `pos`, refilling the hole with the last entry.
+  void RemoveAt(std::size_t pos);
 
-  // Pops the next non-cancelled event, or nullptr. The returned event is
-  // still owned by the pool; callers must Recycle() it.
-  Event* PopNext();
-  // Time of the next pending event; false when idle.
-  bool PeekNextTime(SimTime* when);
-
-  EventQueue mode_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
-  std::size_t pending_ = 0;   // non-cancelled events in queue
   std::size_t executed_ = 0;
 
-  // Overflow heap (and the whole store in kHeap mode).
-  std::priority_queue<Event*, std::vector<Event*>, EventCompare> queue_;
-
-  // Timer wheel state.
-  Event* slots_[kLevels][kSlots] = {};
-  std::uint64_t occ_[kLevels][kSlots / 64] = {};
-  std::uint64_t base_[kLevels] = {};  // absolute slot index of now_ per level
-  std::size_t wheel_count_ = 0;
-  Event* cached_min_ = nullptr;
-  bool cached_min_valid_ = true;  // empty wheel: valid, nullptr
-
-  std::vector<std::unique_ptr<Event>> pool_;
-  std::vector<Event*> free_;
+  std::vector<Entry> heap_;  // 4-ary: children of i are 4i+1 .. 4i+4
+  std::vector<Event> pool_;
+  std::vector<std::uint32_t> free_;
 };
 
 // RAII one-shot timer bound to a Simulator. Restart() re-arms; destruction or

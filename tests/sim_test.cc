@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -191,27 +194,205 @@ TEST(SimulatorTest, CancelOfRecycledIdDoesNotAffectNewEvent) {
   EXPECT_TRUE(ran);
 }
 
-TEST(TimerWheelTest, CancelledWheelEventsRecycleImmediately) {
-  // The tombstone regression: re-arming a timer 100k times used to leave
-  // 100k dead heap entries (pool slots + O(log n) pops). With the wheel,
-  // every cancel returns its slot to the free list at once.
-  Simulator sim(Simulator::EventQueue::kTimerWheel);
+// The heap is checked against a naive reference model: a std::set of
+// (when, seq, tag), whose begin() is by definition the next event to run.
+class ReferenceModel {
+ public:
+  using Key = std::tuple<SimTime, std::uint64_t, int>;
+
+  explicit ReferenceModel(Simulator* sim) : sim_(sim) {}
+
+  // Schedules tag `tag` at Now() + delay on both sides.
+  void Schedule(SimTime delay, int tag) {
+    SimTime when = sim_->Now() + delay;
+    Key key{when, next_seq_++, tag};
+    std::uint64_t id = sim_->Schedule(delay, [this, tag] { Fire(tag); });
+    pending_.insert(key);
+    live_[tag] = {id, key};
+  }
+
+  void Cancel(int tag) {
+    auto it = live_.find(tag);
+    ASSERT_NE(it, live_.end());
+    sim_->Cancel(it->second.id);
+    pending_.erase(it->second.key);
+    stale_.push_back(it->second.id);
+    live_.erase(it);
+  }
+
+  // Cancelling an id that already ran or was cancelled must change nothing.
+  void CancelStale(std::size_t pick) {
+    if (!stale_.empty()) {
+      sim_->Cancel(stale_[pick % stale_.size()]);
+    }
+  }
+
+  // Expectation checked after every operation: same size, same next time.
+  void ExpectAgrees() const {
+    ASSERT_EQ(sim_->pending_events(), pending_.size());
+    SimTime next = 0;
+    ASSERT_EQ(sim_->NextEventTime(&next), !pending_.empty());
+    if (!pending_.empty()) {
+      EXPECT_EQ(next, std::get<0>(*pending_.begin()));
+    }
+  }
+
+  std::vector<int> live_tags() const {
+    std::vector<int> tags;
+    for (const auto& [tag, rec] : live_) {
+      tags.push_back(tag);
+    }
+    return tags;
+  }
+  std::size_t fired() const { return fired_; }
+  std::size_t mismatches() const { return mismatches_; }
+  // Called from a running callback: re-arms `tag` like Timer::Restart does.
+  std::function<void(int)> on_fire;
+
+ private:
+  struct Live {
+    std::uint64_t id;
+    Key key;
+  };
+
+  void Fire(int tag) {
+    ++fired_;
+    // The event the simulator runs must be the model's earliest, at the
+    // model's time.
+    if (pending_.empty() || std::get<2>(*pending_.begin()) != tag ||
+        std::get<0>(*pending_.begin()) != sim_->Now()) {
+      ++mismatches_;
+    } else {
+      pending_.erase(pending_.begin());
+    }
+    stale_.push_back(live_[tag].id);
+    live_.erase(tag);
+    if (on_fire) {
+      on_fire(tag);
+    }
+  }
+
+  Simulator* sim_;
+  std::uint64_t next_seq_ = 0;
+  std::set<Key> pending_;
+  std::map<int, Live> live_;
+  std::vector<std::uint64_t> stale_;
+  std::size_t fired_ = 0;
+  std::size_t mismatches_ = 0;
+};
+
+TEST(EventHeapTest, SeededChurnMatchesReferenceModel) {
+  // Schedule / cancel / re-arm / stale-id cancel / run, chosen by a seeded
+  // LCG. Delays are coarse (whole milliseconds) so many events share an
+  // instant and the seq tiebreak is exercised constantly.
+  Simulator sim;
+  ReferenceModel model(&sim);
+  std::uint64_t lcg = 12345;
+  auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  };
+  int next_tag = 0;
+  // Some callbacks re-arm from inside the run, as protocol timers do.
+  model.on_fire = [&](int tag) {
+    if (tag % 5 == 0) {
+      model.Schedule(Milliseconds(static_cast<double>(next() % 20)), next_tag++);
+    }
+  };
+  for (int op = 0; op < 20'000; ++op) {
+    std::uint64_t r = next() % 100;
+    if (r < 45) {
+      model.Schedule(Milliseconds(static_cast<double>(next() % 50)), next_tag++);
+    } else if (r < 65) {
+      auto tags = model.live_tags();
+      if (!tags.empty()) {
+        model.Cancel(tags[next() % tags.size()]);
+      }
+    } else if (r < 80) {
+      auto tags = model.live_tags();
+      if (!tags.empty()) {
+        // Re-arm: cancel and schedule afresh, like Timer::Restart.
+        model.Cancel(tags[next() % tags.size()]);
+        model.Schedule(Milliseconds(static_cast<double>(next() % 50)), next_tag++);
+      }
+    } else if (r < 90) {
+      model.CancelStale(next());
+    } else {
+      sim.RunUntil(sim.Now() + Milliseconds(static_cast<double>(next() % 10)));
+    }
+    model.ExpectAgrees();
+    ASSERT_EQ(model.mismatches(), 0u) << "diverged at op " << op;
+  }
+  model.on_fire = nullptr;
+  sim.RunAll();
+  model.ExpectAgrees();
+  EXPECT_EQ(model.mismatches(), 0u);
+  EXPECT_GT(model.fired(), 5'000u);
+  EXPECT_EQ(sim.pool_free(), sim.pool_capacity());
+}
+
+TEST(EventHeapTest, CancelRootLastEntryAndFromInsideCallback) {
+  Simulator sim;
+  std::vector<int> order;
+  auto push = [&order](int v) { return [&order, v] { order.push_back(v); }; };
+  auto root = sim.ScheduleAt(Milliseconds(1), push(1));
+  sim.ScheduleAt(Milliseconds(2), push(2));
+  std::uint64_t victim = 0;
+  sim.ScheduleAt(Milliseconds(3), [&] {
+    order.push_back(3);
+    sim.Cancel(victim);  // same instant, later seq: must not run
+  });
+  victim = sim.ScheduleAt(Milliseconds(3), push(99));
+  sim.ScheduleAt(Milliseconds(4), push(4));
+  // Latest deadline scheduled last: it stays the heap's last entry.
+  auto last = sim.ScheduleAt(Milliseconds(9), push(98));
+  sim.Cancel(root);
+  sim.Cancel(last);
+  EXPECT_EQ(sim.pending_events(), 4u);
+  SimTime next = 0;
+  ASSERT_TRUE(sim.NextEventTime(&next));
+  EXPECT_EQ(next, Milliseconds(2));
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{2, 3, 4}));
+  EXPECT_EQ(sim.Now(), Milliseconds(4));
+  EXPECT_EQ(sim.pool_free(), sim.pool_capacity());
+}
+
+TEST(EventHeapTest, TenThousandSameInstantEventsFireFifo) {
+  // The promiscuous-TNC fan-out: every receiver's serial byte lands on the
+  // same instant. They must run in scheduling order.
+  Simulator sim;
+  std::vector<int> order;
+  order.reserve(10'000);
+  for (int i = 0; i < 10'000; ++i) {
+    sim.ScheduleAt(Seconds(1), [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(sim.RunAll(), 10'000u);
+  ASSERT_EQ(order.size(), 10'000u);
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_EQ(order[static_cast<std::size_t>(i)], i);
+  }
+}
+
+TEST(EventHeapTest, TimerRestartLeavesNoTombstones) {
+  // Re-arming a timer 100k times must not leave 100k dead entries behind
+  // (pool slots and pops): every cancel recycles its slot at once.
+  Simulator sim;
   Timer t(&sim, [] {});
   for (int i = 0; i < 100'000; ++i) {
     t.Restart(Seconds(5));  // each Restart cancels the previous arm
   }
   EXPECT_EQ(sim.pending_events(), 1u);
-  // One live arm; everything else must already be recycled.
   EXPECT_LE(sim.pool_capacity(), 4u);
   EXPECT_EQ(sim.pool_free(), sim.pool_capacity() - 1);
   t.Stop();
+  EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(sim.pool_free(), sim.pool_capacity());
 }
 
-TEST(TimerWheelTest, OrderingAcrossSlotAndLevelBoundaries) {
-  // Deadlines straddling every wheel level (65 µs slots, 16.8 ms, 4.3 s,
-  // 18 min spans) plus a beyond-horizon event that overflows to the heap.
-  Simulator sim(Simulator::EventQueue::kTimerWheel);
+TEST(EventHeapTest, OrderingAcrossWideTimeSpans) {
+  // Deadlines from a microsecond to days apart, scheduled in reverse.
+  Simulator sim;
   std::vector<int> order;
   const SimTime whens[] = {
       Microseconds(1),  Microseconds(64), Microseconds(65),  Microseconds(200),
@@ -219,7 +400,6 @@ TEST(TimerWheelTest, OrderingAcrossSlotAndLevelBoundaries) {
       Seconds(5),       Seconds(1000),    Seconds(1100),     Seconds(100'000),
       Seconds(300'000), Seconds(400'000),
   };
-  // Schedule in reverse to decouple insertion order from firing order.
   for (int i = static_cast<int>(std::size(whens)) - 1; i >= 0; --i) {
     sim.ScheduleAt(whens[i], [&order, i] { order.push_back(i); });
   }
@@ -229,73 +409,6 @@ TEST(TimerWheelTest, OrderingAcrossSlotAndLevelBoundaries) {
     EXPECT_EQ(order[i], static_cast<int>(i));
   }
   EXPECT_EQ(sim.Now(), Seconds(400'000));
-}
-
-TEST(TimerWheelTest, EqualTimestampsInterleaveWheelAndHeapBySeq) {
-  // Two events at the same instant, one wheel-resident and one scheduled
-  // while beyond the horizon (heap overflow): sequence order must still win.
-  Simulator sim(Simulator::EventQueue::kTimerWheel);
-  std::vector<int> order;
-  const SimTime far = Seconds(500'000);  // beyond the 78 h wheel horizon
-  sim.ScheduleAt(far, [&] { order.push_back(0); });   // heap resident
-  sim.ScheduleAt(far, [&] { order.push_back(1); });   // heap resident
-  sim.ScheduleAt(Seconds(250'000), [&] {
-    // By now `far` is inside the horizon: this lands in the wheel, at the
-    // same timestamp but with a later seq than the heap pair.
-    sim.ScheduleAt(far, [&] { order.push_back(2); });
-  });
-  sim.RunAll();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST(TimerWheelTest, RunUntilAdvancesAcrossEmptySpans) {
-  // Large idle jumps (RunUntil with an empty wheel) must not cost per-slot
-  // work or corrupt bucketing for later schedules.
-  Simulator sim(Simulator::EventQueue::kTimerWheel);
-  sim.RunUntil(Seconds(3600));
-  EXPECT_EQ(sim.Now(), Seconds(3600));
-  std::vector<int> order;
-  sim.Schedule(Milliseconds(1), [&] { order.push_back(1); });
-  sim.Schedule(Seconds(30), [&] { order.push_back(2); });
-  sim.RunAll();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(sim.Now(), Seconds(3600) + Seconds(30));
-}
-
-TEST(TimerWheelTest, ExecutionOrderIdenticalToLegacyHeapUnderChurn) {
-  // A/B determinism gate in miniature: a randomized schedule/cancel/re-arm
-  // storm must execute in exactly the same order under the wheel and the
-  // legacy heap. (check.sh runs the full-scenario tracediff version.)
-  auto run = [](Simulator::EventQueue mode) {
-    Simulator sim(mode);
-    std::vector<std::uint64_t> fired;
-    std::vector<std::uint64_t> ids;
-    std::uint64_t lcg = 12345;
-    auto next = [&lcg] {
-      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-      return lcg >> 33;
-    };
-    for (int round = 0; round < 50; ++round) {
-      for (int i = 0; i < 40; ++i) {
-        std::uint64_t tag = next();
-        SimTime delay = static_cast<SimTime>(next() % 2'000'000'000);  // 0..2 s
-        ids.push_back(sim.Schedule(delay, [&fired, tag] { fired.push_back(tag); }));
-      }
-      // Cancel a pseudo-random third of everything ever scheduled.
-      for (std::size_t i = 0; i < ids.size(); i += 3) {
-        if (next() % 2 == 0) {
-          sim.Cancel(ids[i]);
-        }
-      }
-      sim.RunUntil(sim.Now() + Milliseconds(250));
-    }
-    sim.RunAll();
-    return fired;
-  };
-  auto wheel = run(Simulator::EventQueue::kTimerWheel);
-  auto heap = run(Simulator::EventQueue::kHeap);
-  EXPECT_GT(wheel.size(), 100u);
-  EXPECT_EQ(wheel, heap);
 }
 
 TEST(TimeHelpersTest, Conversions) {

@@ -234,46 +234,6 @@ run_ab_smoke() {
   done
 }
 
-# A/B equivalence gate for the simulator's event store (PR 6): the same
-# seeded lossy scenario run on the legacy binary heap (--event-queue heap)
-# and on the hierarchical timer wheel (--event-queue wheel) must put
-# byte-identical frames on the wire at identical timestamps — the wheel is
-# a pure data-structure swap and may not reorder a single event.
-run_queue_ab_smoke() {
-  builddir=$1
-  qdir="$builddir/queue-ab-smoke"
-  rm -rf "$qdir"
-  mkdir -p "$qdir"
-  scenario="--pcs 2 --hosts 1 --digis 1 --workload ping --loss 0.05 \
-    --ber 0.0001 --seed 1234 --duration 1800"
-  for queue in heap wheel; do
-    status=0
-    # shellcheck disable=SC2086
-    "$builddir/tools/uprsim" $scenario --event-queue "$queue" \
-      --trace "$qdir/$queue.pcapng" >"$qdir/$queue.out" 2>&1 || status=$?
-    # Workload failure (exit 1) is tolerated — the lossy channel may drop
-    # everything — but both queues must fail identically below.
-    if [ "$status" -gt 1 ]; then
-      cat "$qdir/$queue.out" >&2
-      echo "FAIL: queue A/B smoke: $queue run exited $status" >&2
-      exit 1
-    fi
-    echo "$status" >"$qdir/$queue.status"
-  done
-  if ! cmp -s "$qdir/heap.status" "$qdir/wheel.status"; then
-    echo "FAIL: queue A/B smoke: heap and wheel runs exited differently" >&2
-    exit 1
-  fi
-  if ! "$builddir/tools/tracediff" \
-      "$qdir/heap.pcapng" "$qdir/wheel.pcapng" \
-      >"$qdir/queue.tracediff.txt" 2>&1; then
-    cat "$qdir/queue.tracediff.txt" >&2
-    echo "FAIL: queue A/B smoke: timer wheel diverges from heap (see above)" >&2
-    exit 1
-  fi
-  echo "queue A/B smoke: wheel == heap (byte-identical trace)"
-}
-
 # A/B gate for the v2.2 refactor (PR 7): the LAPB core is now generic over
 # the modulus, so default (v2.0) stations must emit byte-identical frame
 # sequences to the pre-refactor code. Two seeded scenarios — a VC-mode
@@ -410,11 +370,6 @@ if [ "$run_regular" = 1 ]; then
   fi
 
   if [ "$run_bench" = 1 ]; then
-    echo "=== tier-1: timer wheel vs heap A/B trace equivalence ==="
-    run_queue_ab_smoke ./build
-  fi
-
-  if [ "$run_bench" = 1 ]; then
     echo "=== tier-1: v2.0 byte-identity vs pinned pre-v2.2 goldens ==="
     run_v20_golden_smoke ./build
   fi
@@ -451,11 +406,6 @@ if [ "$run_asan" = 1 ]; then
   if [ "$run_bench" = 1 ]; then
     echo "=== tier-1: silo vs per-byte A/B trace equivalence under ASan ==="
     run_ab_smoke ./build-asan
-  fi
-
-  if [ "$run_bench" = 1 ]; then
-    echo "=== tier-1: timer wheel vs heap A/B trace equivalence under ASan ==="
-    run_queue_ab_smoke ./build-asan
   fi
 
   if [ "$run_bench" = 1 ]; then

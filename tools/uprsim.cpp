@@ -61,7 +61,6 @@ struct Options {
   bool trace_enabled = false;
   std::string record_faults;
   std::string replay_faults;
-  std::string event_queue = "wheel";
   std::string ax25 = "2.0";
   std::size_t maxframe = 0;  // 0 = dialect default (4 for 2.0, 127 for 2.2)
   std::string log = "warn";
@@ -111,9 +110,6 @@ void Usage(const char* argv0) {
       "  --replay-faults F  replay the fault schedule in F instead of\n"
       "                     rolling the channel/MAC RNGs (exit 3 if the\n"
       "                     run diverges from the schedule)\n"
-      "  --event-queue Q    simulator event store: wheel (default) or heap\n"
-      "                     (the legacy priority queue; check.sh tracediffs\n"
-      "                     the two for byte-identical schedules)\n"
       "  --topo city:CxS    run the city-scale AMPRnet generator instead of\n"
       "                     the testbed: C radio channels (1..250) of S\n"
       "                     stations (1..2000) each, one gateway per channel,\n"
@@ -222,11 +218,6 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
     } else if (arg == "--trace-snap") {
       opt->trace_snap = count(1, 1'000'000, "an integer in [1, 1e6]");
       opt->trace_enabled = true;
-    } else if (arg == "--event-queue") {
-      opt->event_queue = next();
-      if (opt->event_queue != "wheel" && opt->event_queue != "heap") {
-        BadValue(arg, opt->event_queue.c_str(), "'wheel' or 'heap'");
-      }
     } else if (arg == "--topo") {
       opt->topo = next();
       std::string error;
@@ -296,9 +287,6 @@ int RunVcScenario(const Options& opt) {
     std::fprintf(stderr, "fault record/replay is not supported for --workload vc\n");
     return 2;
   }
-  Simulator::SetDefaultEventQueue(opt.event_queue == "heap"
-                                      ? Simulator::EventQueue::kHeap
-                                      : Simulator::EventQueue::kTimerWheel);
   Simulator sim;
   RadioChannelConfig rc;
   rc.bit_rate = opt.rate;
@@ -415,9 +403,6 @@ int RunLiveScenario(const Options& opt) {
                  "fault record/replay is not supported for --workload live\n");
     return 2;
   }
-  Simulator::SetDefaultEventQueue(opt.event_queue == "heap"
-                                      ? Simulator::EventQueue::kHeap
-                                      : Simulator::EventQueue::kTimerWheel);
   Simulator sim;
   RealtimeConfig rtc;
   rtc.time_scale = opt.time_scale;
@@ -588,10 +573,6 @@ int RunCityScenario(const Options& opt) {
     std::fprintf(stderr, "--parallel and --unsharded are exclusive\n");
     return 2;
   }
-  Simulator::SetDefaultEventQueue(opt.event_queue == "heap"
-                                      ? Simulator::EventQueue::kHeap
-                                      : Simulator::EventQueue::kTimerWheel);
-
   topo::CityConfig cfg;
   cfg.spec = opt.city_spec;
   cfg.mode = opt.unsharded ? ShardSet::Mode::kUnified
@@ -757,12 +738,6 @@ int main(int argc, char** argv) {
   if (opt.workload == "vc") {
     return RunVcScenario(opt);
   }
-
-  // Must precede Testbed construction: the simulator picks up the default at
-  // construction time.
-  Simulator::SetDefaultEventQueue(opt.event_queue == "heap"
-                                      ? Simulator::EventQueue::kHeap
-                                      : Simulator::EventQueue::kTimerWheel);
 
   TestbedConfig cfg;
   cfg.radio_pcs = opt.pcs;
