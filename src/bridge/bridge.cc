@@ -146,13 +146,14 @@ void BridgePort::ReadFromFd() {
   ssize_t n = read(fd_, buf, want);
   if (n > 0) {
     stats_.bytes_in += static_cast<std::uint64_t>(n);
+    ByteView in(buf, static_cast<std::size_t>(n));
     if (auto* t = trace::Active()) {
       t->Record(trace::Layer::kSerial, trace::Kind::kBridgeIn, trace::Dir::kRx,
-                config_.name, ByteView(buf, static_cast<std::size_t>(n)));
+                config_.name, in);
     }
     // The executor advanced the simulator to the wall-equivalent instant
     // before dispatch, so these bytes enter the line at their arrival time.
-    line_->a().Write(Bytes(buf, buf + n));
+    line_->a().Write(in);
     return;
   }
   if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {

@@ -108,7 +108,7 @@ bool RadioPort::StartTransmit(Bytes frame, SimTime head, SimTime tail,
   }
 
   sim->ScheduleAt(end, [this, ch, sim, tx, frame = std::move(frame),
-                        on_done = std::move(on_done)] {
+                        on_done = std::move(on_done)]() mutable {
     transmitting_ = false;
     --ch->active_;
     ch->active_list_.erase(
@@ -145,7 +145,7 @@ bool RadioPort::StartTransmit(Bytes frame, SimTime head, SimTime tail,
         corrupted = true;
       }
     }
-    ch->Deliver(this, frame, corrupted, tx->start, tx->end);
+    ch->Deliver(this, std::move(frame), corrupted, tx->start, tx->end);
     if (on_done) {
       on_done();
     }
@@ -153,16 +153,18 @@ bool RadioPort::StartTransmit(Bytes frame, SimTime head, SimTime tail,
   return true;
 }
 
-void RadioChannel::Deliver(RadioPort* sender, const Bytes& frame, bool corrupted,
+void RadioChannel::Deliver(RadioPort* sender, Bytes frame, bool corrupted,
                            SimTime tx_start, SimTime tx_end) {
-  Bytes delivered = frame;
-  if (corrupted && !delivered.empty()) {
+  if (corrupted && !frame.empty()) {
     // Mangle the head so any FCS verification fails.
-    std::size_t n = std::min<std::size_t>(8, delivered.size());
+    std::size_t n = std::min<std::size_t>(8, frame.size());
     for (std::size_t i = 0; i < n; ++i) {
-      delivered[i] ^= 0x55;
+      frame[i] ^= 0x55;
     }
   }
+  // Every receiver reads the same immutable frame: one buffer per
+  // transmission, not one copy per listening port.
+  auto delivered = std::make_shared<const Bytes>(std::move(frame));
   SimTime delay = config_.propagation_delay;
   // The frame occupies the receiver's antenna during [tx_start + delay,
   // tx_end + delay]; a station that transmitted during any part of that
@@ -187,9 +189,7 @@ void RadioChannel::Deliver(RadioPort* sender, const Bytes& frame, bool corrupted
       ++dst->half_duplex_misses_;
       continue;
     }
-    Bytes copy = delivered;
-    sim_->Schedule(delay, [dst, copy = std::move(copy), corrupted, delay,
-                           arrive_start, arrive_end] {
+    sim_->Schedule(delay, [dst, delivered, corrupted, delay, arrive_start, arrive_end] {
       if (delay > 0) {
         // Deciding receive state at tx-end time alone would let a port that
         // *starts* transmitting inside the propagation window still hear the
@@ -206,7 +206,7 @@ void RadioChannel::Deliver(RadioPort* sender, const Bytes& frame, bool corrupted
         ++dst->frames_corrupted_rx_;
       }
       if (dst->on_receive_) {
-        dst->on_receive_(copy, corrupted);
+        dst->on_receive_(*delivered, corrupted);
       }
     });
   }

@@ -125,7 +125,7 @@ class RadioChannel {
     bool corrupted = false;
   };
 
-  void Deliver(RadioPort* sender, const Bytes& frame, bool corrupted,
+  void Deliver(RadioPort* sender, Bytes frame, bool corrupted,
                SimTime tx_start, SimTime tx_end);
 
   Simulator* sim_;

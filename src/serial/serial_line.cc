@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/trace/trace.h"
+#include "src/util/panic.h"
 
 namespace upr {
 
@@ -25,8 +26,6 @@ SimTime SerialLine::transfer_time(std::uint64_t n) const {
                    static_cast<double>(config_.baud_rate) *
                    static_cast<double>(kSecond)));
 }
-
-void SerialEndpoint::Write(std::uint8_t byte) { Write(Bytes{byte}); }
 
 std::uint64_t SerialEndpoint::tx_room() const {
   std::uint64_t cap = line_->config_.max_backlog;
@@ -52,6 +51,26 @@ void SerialEndpoint::DeliverChunk(const std::uint8_t* data, std::size_t len) {
       on_byte_(data[i]);
     }
   }
+}
+
+void SerialEndpoint::ScheduleHead() {
+  const PendingByte& head = in_flight_[in_flight_head_];
+  line_->sim_->ScheduleReserved(head.when, head.seq, [this] { DeliverHead(); });
+}
+
+void SerialEndpoint::DeliverHead() {
+  std::uint8_t b = in_flight_[in_flight_head_++].byte;
+  --backlog_;
+  // Next head first: a receive handler that writes back onto this direction
+  // must find the FIFO's head already in the heap.
+  if (in_flight_head_ != in_flight_.size()) {
+    ScheduleHead();
+  } else {
+    // Drained: free the burst's storage, so an idle line holds none.
+    in_flight_ = {};
+    in_flight_head_ = 0;
+  }
+  peer_->DeliverChunk(&b, 1);
 }
 
 void SerialEndpoint::FlushSilo(SimTime when) {
@@ -91,7 +110,7 @@ void SerialEndpoint::ArmSiloAlarm() {
   });
 }
 
-void SerialEndpoint::Write(const Bytes& bytes) {
+void SerialEndpoint::Write(ByteView bytes) {
   Simulator* sim = line_->sim_;
   const SerialLineConfig& cfg = line_->config_;
   if (auto* t = trace::Active()) {
@@ -104,6 +123,18 @@ void SerialEndpoint::Write(const Bytes& bytes) {
     busy_until_ = sim->Now();
     tx_epoch_ = sim->Now();
     tx_bytes_since_epoch_ = 0;
+  }
+  if (cfg.mode == SerialLineConfig::Mode::kPerByte) {
+    if (in_flight_.empty()) {
+      in_flight_.reserve(bytes.size());  // one allocation per idle-line burst
+    } else if (2 * in_flight_head_ >= in_flight_.size()) {
+      // A line that never drains: drop the delivered half. Each compaction
+      // moves no more bytes than were delivered since the last, so O(1) per
+      // byte.
+      in_flight_.erase(in_flight_.begin(),
+                       in_flight_.begin() + static_cast<std::ptrdiff_t>(in_flight_head_));
+      in_flight_head_ = 0;
+    }
   }
   std::uint64_t dropped = 0;
   for (std::uint8_t b : bytes) {
@@ -118,14 +149,17 @@ void SerialEndpoint::Write(const Bytes& bytes) {
     ++bytes_sent_;
     ++backlog_;
     if (cfg.mode == SerialLineConfig::Mode::kPerByte) {
-      // [this, b] fits libstdc++ std::function's 16-byte inline buffer, so
-      // a serial byte costs no heap allocation; peer_ is fixed at
-      // construction.
+      // The byte takes its seq now, as a ScheduleAt() here would, so it runs
+      // in the same place; land times never decrease within a direction, so
+      // the FIFO's head is always its earliest byte.
       ++events_scheduled_;
-      sim->ScheduleAt(busy_until_, [this, b] {
-        --backlog_;
-        peer_->DeliverChunk(&b, 1);
-      });
+      const bool idle = in_flight_head_ == in_flight_.size();
+      UPR_INVARIANT(idle || busy_until_ >= in_flight_.back().when,
+                    "%s: byte lands before the byte queued ahead of it", name_.c_str());
+      in_flight_.push_back({busy_until_, sim->ReserveSeq(), b});
+      if (idle) {
+        ScheduleHead();
+      }
     } else {
       silo_.push_back(b);
       if (silo_.size() >= cfg.silo_depth) {

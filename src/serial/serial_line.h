@@ -5,7 +5,11 @@
 //  * kPerByte (default, paper fidelity): each byte is a separate delivery
 //    event — one receive interrupt per character, which is exactly how the
 //    paper's driver ingests packets ("For each character in the packet, the
-//    tty driver calls the packet radio interrupt handler", §2.2).
+//    tty driver calls the packet radio interrupt handler", §2.2). It is not
+//    one heap entry per character: a direction's in-flight bytes wait in its
+//    own FIFO, each under the (land time, seq) key it took at Write(), and
+//    only the head byte sits in the Simulator heap. A byte's event runs
+//    exactly where a heap entry of its own would have run (DESIGN.md §8).
 //
 //  * kSilo: the DH-style silo/DMA discipline the paper's §Performance points
 //    at as the cure for per-character overhead. Bytes accumulate in a
@@ -22,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/util/byte_buffer.h"
@@ -68,8 +73,7 @@ class SerialEndpoint {
   // Queues bytes for transmission to the far end. Never blocks; the line
   // serializes output at the baud rate. Bytes beyond the configured
   // max_backlog are dropped and counted in overruns()/bytes_dropped().
-  void Write(const Bytes& bytes);
-  void Write(std::uint8_t byte);
+  void Write(ByteView bytes);
 
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t bytes_received() const { return bytes_received_; }
@@ -105,8 +109,19 @@ class SerialEndpoint {
  private:
   friend class SerialLine;
 
+  // Per-byte mode: a byte on the wire, keyed as if it had its own event.
+  struct PendingByte {
+    SimTime when;       // land time at the peer
+    std::uint64_t seq;  // reserved from the Simulator at Write()
+    std::uint8_t byte;
+  };
+
   // Hands a landed chunk to the receive side of *this* endpoint.
   void DeliverChunk(const std::uint8_t* data, std::size_t len);
+  // Per-byte mode: puts the FIFO's head byte in the heap under its reserved
+  // key, and lands it at the peer when it runs.
+  void ScheduleHead();
+  void DeliverHead();
   // Schedules delivery of the accumulated silo to the peer at `when`.
   void FlushSilo(SimTime when);
   // (Re)arms the silo-alarm flush for a partially-filled silo.
@@ -124,6 +139,11 @@ class SerialEndpoint {
   // per-byte truncation drift.
   SimTime tx_epoch_ = 0;
   std::uint64_t tx_bytes_since_epoch_ = 0;
+  // Per-byte mode: bytes on the wire, in land order, from in_flight_head_
+  // on; only the head has a heap entry. Storage is freed when the line
+  // drains and the delivered prefix compacted at Write() when it does not.
+  std::vector<PendingByte> in_flight_;
+  std::size_t in_flight_head_ = 0;
   // Silo mode: bytes on the wire not yet bundled into a delivery event.
   Bytes silo_;
   std::uint64_t silo_alarm_id_ = 0;

@@ -34,6 +34,14 @@ void Simulator::Recycle(std::uint32_t index) {
 }
 
 std::uint64_t Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
+  return ScheduleReserved(when, next_seq_++, std::move(fn));
+}
+
+std::uint64_t Simulator::ScheduleReserved(SimTime when, std::uint64_t seq,
+                                          std::function<void()> fn) {
+  UPR_INVARIANT(seq < next_seq_, "seq %llu was never reserved (next %llu)",
+                static_cast<unsigned long long>(seq),
+                static_cast<unsigned long long>(next_seq_));
   if (when < now_) {
     when = now_;
   }
@@ -42,7 +50,7 @@ std::uint64_t Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
   ev.fn = std::move(fn);
   std::uint64_t id = (static_cast<std::uint64_t>(ev.gen) << 32) | index;
   heap_.emplace_back();
-  SiftUp(heap_.size() - 1, Entry{when, next_seq_++, index});
+  SiftUp(heap_.size() - 1, Entry{when, seq, index});
   return id;
 }
 

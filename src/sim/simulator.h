@@ -2,8 +2,9 @@
 //
 // Every component (radio channel, TNC, serial line, host stack, application)
 // schedules callbacks on a single Simulator. Events at equal timestamps run
-// in scheduling order (a monotonically increasing sequence number breaks
-// ties), so runs are bit-reproducible.
+// in scheduling order (a monotonically increasing sequence number, taken at
+// scheduling or reserved ahead of it, breaks ties), so runs are
+// bit-reproducible.
 //
 // Event storage is one indexed 4-ary min-heap of inline (when, seq, pool
 // index) keys over a pooled event store. Comparisons never touch an Event;
@@ -77,6 +78,15 @@ class Simulator {
   std::uint64_t Schedule(SimTime delay, std::function<void()> fn);
   std::uint64_t ScheduleAt(SimTime when, std::function<void()> fn);
 
+  // Takes the next sequence number now, for an event scheduled later with
+  // ScheduleReserved(). The event then runs exactly where ScheduleAt() would
+  // have put it at reservation time: after every same-instant event
+  // scheduled before the reservation, before every one scheduled after it.
+  // A serial line reserves one seq per byte at Write() and keeps only its
+  // head byte in the heap (see SerialEndpoint).
+  std::uint64_t ReserveSeq() { return next_seq_++; }
+  std::uint64_t ScheduleReserved(SimTime when, std::uint64_t seq, std::function<void()> fn);
+
   // Cancels a pending event; a no-op if it already ran or was cancelled.
   // O(log n): the event leaves the heap and its pool slot recycles at once.
   void Cancel(std::uint64_t id);
@@ -103,10 +113,12 @@ class Simulator {
     *when = heap_.front().when;
     return true;
   }
+  // Heap entries. A busy serial line holds one entry for its head byte; the
+  // bytes queued behind it are counted by SerialEndpoint::backlog().
   std::size_t pending_events() const { return heap_.size(); }
   std::size_t executed_events() const { return executed_; }
   // Total events ever scheduled (the interrupt-rate analogue: every serial
-  // byte, timer and frame delivery passes through here).
+  // byte, timer and frame delivery takes a seq here, reserved or not).
   std::uint64_t events_scheduled() const { return next_seq_ - 1; }
   // Event objects allocated over the simulator's lifetime. Events are pooled
   // on a free list, so this tracks peak concurrency, not event count.

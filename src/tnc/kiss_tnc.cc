@@ -121,7 +121,7 @@ void KissTnc::EnterKissMode() {
   ++kiss_resyncs_;
 }
 
-bool KissTnc::PassesFilter(const Bytes& ax25_body) const {
+bool KissTnc::PassesFilter(ByteView ax25_body) const {
   if (!config_.address_filter) {
     return true;
   }
@@ -153,10 +153,11 @@ void KissTnc::OnRadioReceive(const Bytes& wire, bool corrupted) {
     ++fcs_errors_;
     return;
   }
-  Bytes body(wire.begin(), wire.end() - 2);
+  // The frame is shared by every receiving port: read it through a view.
+  ByteView body(wire.data(), wire.size() - 2);
   std::uint16_t fcs = static_cast<std::uint16_t>(wire[wire.size() - 2] |
                                                  wire[wire.size() - 1] << 8);
-  if (Crc16Ccitt(body) != fcs) {
+  if (Crc16Ccitt(body.data(), body.size()) != fcs) {
     ++fcs_errors_;
     return;
   }
@@ -166,7 +167,8 @@ void KissTnc::OnRadioReceive(const Bytes& wire, bool corrupted) {
   }
   ++frames_to_host_;
   trace::IfScope tscope(serial_->name(), trace::Dir::kTx);
-  Bytes stream = KissEncodeData(body);
+  Bytes stream;
+  KissEncodeInto(body, &stream);
   serial_bytes_to_host_ += stream.size();
   serial_->Write(stream);
 }

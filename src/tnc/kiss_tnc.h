@@ -78,7 +78,7 @@ class KissTnc {
   void OnKissFrame(const KissFrame& f);
   void NoteParamUpdate();
   void OnRadioReceive(const Bytes& wire, bool corrupted);
-  bool PassesFilter(const Bytes& ax25_body) const;
+  bool PassesFilter(ByteView ax25_body) const;
 
   Simulator* sim_;
   std::string name_;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/serial/serial_line.h"
@@ -95,6 +96,121 @@ TEST(SerialLineTest, LaterWritesQueueBehindEarlier) {
   sim.RunAll();
   EXPECT_EQ(got, (std::vector<std::uint8_t>{1, 2}));
   // Second byte lands a full byte-time after the first.
+}
+
+// --- Per-byte run order ------------------------------------------------------
+//
+// Only a direction's head byte sits in the Simulator heap; each byte waits
+// under the seq it reserved at Write(). These pin the contract that makes
+// that invisible: every byte runs exactly where an event scheduled at Write()
+// would have, relative to probes and to other lines.
+
+// Event log shared by a line's receiver and probe events.
+struct OrderLog {
+  std::vector<std::string> events;
+  void Receive(SerialEndpoint& ep, const char* line) {
+    ep.set_receive_handler([this, line](std::uint8_t b) {
+      events.push_back(line + std::to_string(b));
+    });
+  }
+  void Probe(Simulator& sim, SimTime when, std::string name) {
+    sim.ScheduleAt(when, [this, name] { events.push_back(name); });
+  }
+};
+
+TEST(SerialOrderTest, ProbeScheduledAfterWriteRunsAfterByte) {
+  Simulator sim;
+  SerialLine line(&sim, 9600);
+  OrderLog log;
+  log.Receive(line.b(), "a");
+  line.a().Write(Bytes{1, 2, 3, 4, 5});
+  // Same instant as byte 3, later seq: byte 3 first.
+  log.Probe(sim, LandTime(3, 9600), "probe");
+  sim.RunAll();
+  EXPECT_EQ(log.events,
+            (std::vector<std::string>{"a1", "a2", "a3", "probe", "a4", "a5"}));
+}
+
+TEST(SerialOrderTest, ProbeScheduledBeforeWriteRunsBeforeByte) {
+  Simulator sim;
+  SerialLine line(&sim, 9600);
+  OrderLog log;
+  log.Receive(line.b(), "a");
+  // The line is already busy, so byte 4 queues behind bytes 1..3.
+  line.a().Write(Bytes{1, 2});
+  log.Probe(sim, LandTime(4, 9600), "before");
+  line.a().Write(Bytes{3, 4, 5});
+  log.Probe(sim, LandTime(4, 9600), "after");
+  sim.RunAll();
+  EXPECT_EQ(log.events, (std::vector<std::string>{"a1", "a2", "a3", "before",
+                                                  "a4", "after", "a5"}));
+}
+
+TEST(SerialOrderTest, LinesWrittenAtOneInstantInterleaveInWriteOrder) {
+  // Line b runs at half line a's rate, so b's k-th byte lands with a's
+  // 2k-th: at each shared instant the line written first delivers first.
+  Simulator sim;
+  SerialLine fast(&sim, 9600);
+  SerialLine slow(&sim, 4800);
+  ASSERT_EQ(LandTime(2, 9600), LandTime(1, 4800));
+  ASSERT_EQ(LandTime(4, 9600), LandTime(2, 4800));
+  OrderLog log;
+  log.Receive(fast.b(), "a");
+  log.Receive(slow.b(), "b");
+  fast.a().Write(Bytes{1, 2, 3, 4});
+  slow.a().Write(Bytes{1, 2});
+  sim.RunAll();
+  EXPECT_EQ(log.events,
+            (std::vector<std::string>{"a1", "a2", "b1", "a3", "a4", "b2"}));
+}
+
+TEST(SerialOrderTest, LineThatNeverDrainsKeepsOrderAndTiming) {
+  // A write lands every 3 byte-times, 4 bytes each, so the line never goes
+  // idle and its FIFO compacts the delivered prefix on later writes.
+  Simulator sim;
+  SerialLine line(&sim, 9600);
+  Bytes got;
+  std::vector<SimTime> arrivals;
+  line.b().set_receive_handler([&](std::uint8_t b) {
+    got.push_back(b);
+    arrivals.push_back(sim.Now());
+  });
+  Bytes sent;
+  for (int w = 0; w < 200; ++w) {
+    sim.RunUntil(LandTime(3 * static_cast<std::uint64_t>(w), 9600));
+    Bytes chunk;
+    for (int i = 0; i < 4; ++i) {
+      chunk.push_back(static_cast<std::uint8_t>(sent.size()));
+      sent.push_back(chunk.back());
+    }
+    line.a().Write(chunk);
+    EXPECT_GT(line.a().backlog(), 0u);
+  }
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunAll();
+  EXPECT_EQ(got, sent);
+  ASSERT_EQ(arrivals.size(), sent.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    ASSERT_EQ(arrivals[i], LandTime(i + 1, 9600)) << "byte " << i;
+  }
+}
+
+TEST(SerialOrderTest, BurstHoldsOneHeapEntryAndOneSeqPerByte) {
+  Simulator sim;
+  SerialLine line(&sim, 1200);
+  std::size_t received = 0;
+  line.b().set_receive_handler([&](std::uint8_t) { ++received; });
+  line.a().Write(Bytes(100000, 0));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(line.a().backlog(), 100000u);
+  EXPECT_EQ(sim.events_scheduled(), 100000u);
+  sim.RunAll();
+  EXPECT_EQ(received, 100000u);
+  EXPECT_EQ(line.a().backlog(), 0u);
+  // Re-scheduling the head takes no seq: still exactly one per byte.
+  EXPECT_EQ(sim.events_scheduled(), 100000u);
+  EXPECT_EQ(sim.executed_events(), 100000u);
+  EXPECT_LE(sim.pool_capacity(), 2u);
 }
 
 // --- Silo (DZ/DH batched) mode ---------------------------------------------

@@ -211,6 +211,25 @@ class ReferenceModel {
     live_[tag] = {id, key};
   }
 
+  // Takes a seq on both sides now; ScheduleReserved() uses it later.
+  void Reserve() { reserved_.push_back({sim_->ReserveSeq(), next_seq_++}); }
+
+  // Schedules tag `tag` at Now() + delay under a seq reserved earlier (the
+  // `pick`-th outstanding one, not necessarily the oldest).
+  void ScheduleReserved(SimTime delay, int tag, std::size_t pick) {
+    if (reserved_.empty()) {
+      return;
+    }
+    auto it = reserved_.begin() + static_cast<std::ptrdiff_t>(pick % reserved_.size());
+    SimTime when = sim_->Now() + delay;
+    Key key{when, it->model_seq, tag};
+    std::uint64_t id =
+        sim_->ScheduleReserved(when, it->sim_seq, [this, tag] { Fire(tag); });
+    reserved_.erase(it);
+    pending_.insert(key);
+    live_[tag] = {id, key};
+  }
+
   void Cancel(int tag) {
     auto it = live_.find(tag);
     ASSERT_NE(it, live_.end());
@@ -254,6 +273,10 @@ class ReferenceModel {
     std::uint64_t id;
     Key key;
   };
+  struct Reservation {
+    std::uint64_t sim_seq;
+    std::uint64_t model_seq;
+  };
 
   void Fire(int tag) {
     ++fired_;
@@ -277,14 +300,17 @@ class ReferenceModel {
   std::set<Key> pending_;
   std::map<int, Live> live_;
   std::vector<std::uint64_t> stale_;
+  std::vector<Reservation> reserved_;
   std::size_t fired_ = 0;
   std::size_t mismatches_ = 0;
 };
 
 TEST(EventHeapTest, SeededChurnMatchesReferenceModel) {
-  // Schedule / cancel / re-arm / stale-id cancel / run, chosen by a seeded
-  // LCG. Delays are coarse (whole milliseconds) so many events share an
-  // instant and the seq tiebreak is exercised constantly.
+  // Schedule / cancel / re-arm / stale-id cancel / run, plus seqs reserved
+  // at one step and scheduled some steps later (as a serial line's queued
+  // bytes are), chosen by a seeded LCG. Delays are coarse (whole
+  // milliseconds) so many events share an instant and the seq tiebreak is
+  // exercised constantly.
   Simulator sim;
   ReferenceModel model(&sim);
   std::uint64_t lcg = 12345;
@@ -300,8 +326,13 @@ TEST(EventHeapTest, SeededChurnMatchesReferenceModel) {
     }
   };
   for (int op = 0; op < 20'000; ++op) {
-    std::uint64_t r = next() % 100;
-    if (r < 45) {
+    std::uint64_t r = next() % 110;
+    if (r >= 105) {
+      model.Reserve();
+    } else if (r >= 100) {
+      model.ScheduleReserved(Milliseconds(static_cast<double>(next() % 50)),
+                             next_tag++, next());
+    } else if (r < 45) {
       model.Schedule(Milliseconds(static_cast<double>(next() % 50)), next_tag++);
     } else if (r < 65) {
       auto tags = model.live_tags();

@@ -2,7 +2,9 @@
 # Tier-1 verification script.
 #
 # Job 1: regular build + full test suite (the ROADMAP.md tier-1 command)
-#        plus the copy-path smoke bench (zero-copy ratio regression gate).
+#        plus the copy-path smoke bench (zero-copy ratio regression gate)
+#        and the repo benchmark's own self-tests (perfbench/, built as a
+#        package of its own in build/perfbench).
 # Job 2: ASan+UBSan build + full test suite + smoke, so lifetime bugs in the
 #        simulator event pool / serial callback plumbing cannot land silently.
 #
@@ -275,6 +277,22 @@ run_v20_golden_smoke() {
   done
 }
 
+# The repo benchmark (perfbench/) is a CMake package of its own that builds
+# ../src in Release. Its ctest runs one smoke per workload: each must pass its
+# output checks (every repetition reproduces the same counts, city-wide's
+# parallel run equals its serial merge, vc-bulk verifies every byte) and emit
+# exactly the metrics BENCHMARK.json names. ~6 s once built.
+run_perfbench_smoke() {
+  builddir=$1
+  # shellcheck disable=SC2086
+  cmake -S perfbench -B "$builddir/perfbench" $extra_flags >/dev/null
+  cmake --build "$builddir/perfbench" -j"${jobs}"
+  if ! ctest --test-dir "$builddir/perfbench" --output-on-failure; then
+    echo "FAIL: perfbench self-tests (see above)" >&2
+    exit 1
+  fi
+}
+
 # Live-bridge interop smoke (job 6): a genuinely external process attaches to
 # the bridge over TCP, speaks raw KISS, and works the resident station —
 # KISS parameter commands, SABM/UA, one I-frame ICMP ping, RR ack, DISC/UA.
@@ -377,6 +395,11 @@ if [ "$run_regular" = 1 ]; then
   if [ "$run_bench" = 1 ]; then
     echo "=== tier-1: live bridge interop smoke ==="
     run_interop_smoke ./build
+  fi
+
+  if [ "$run_bench" = 1 ]; then
+    echo "=== tier-1: repo benchmark self-tests (perfbench smokes) ==="
+    run_perfbench_smoke ./build
   fi
 fi
 
