@@ -51,7 +51,7 @@ void BM_KissDecodeByteAtATime(benchmark::State& state) {
                               static_cast<int>(state.range(1)));
   Bytes wire = KissEncodeData(payload);
   std::size_t frames = 0;
-  KissDecoder decoder([&frames](const KissFrame&) { ++frames; });
+  KissDecoder decoder([&frames](std::uint8_t, KissCommand, ByteView) { ++frames; });
   for (auto _ : state) {
     // One call per byte: the per-character interrupt discipline.
     for (std::uint8_t b : wire) {
@@ -75,7 +75,7 @@ void BM_KissDecodeChunked(benchmark::State& state) {
   Bytes wire = KissEncodeData(payload);
   const std::size_t chunk = 16;  // silo_depth
   std::size_t frames = 0;
-  KissDecoder decoder([&frames](const KissFrame&) { ++frames; });
+  KissDecoder decoder([&frames](std::uint8_t, KissCommand, ByteView) { ++frames; });
   for (auto _ : state) {
     for (std::size_t i = 0; i < wire.size(); i += chunk) {
       decoder.Feed(wire.data() + i, std::min(chunk, wire.size() - i));

@@ -58,7 +58,15 @@ Bytes MakeInputWire(std::size_t payload_len) {
 // packet in a fresh buffer.
 Bytes ForwardLegacy(const Bytes& in_wire) {
   Bytes out_wire;
-  KissDecoder dec([&](const KissFrame& kf) {  // frame copied out of decoder
+  KissDecoder dec([&](std::uint8_t port, KissCommand command, ByteView payload) {
+    // Frame copied out of the decoder, as the seed decoder delivered it.
+    KissFrame kf{port, command, {}};
+    {
+      BufLayerScope scope(BufLayer::kKiss);
+      BufNoteAlloc();
+      BufNoteCopy(payload.size());
+    }
+    kf.payload.assign(payload.begin(), payload.end());
     auto fr = Ax25Frame::Decode(kf.payload);  // info copied into the frame
     if (!fr) {
       return;
@@ -89,25 +97,24 @@ Bytes ForwardLegacy(const Bytes& in_wire) {
 // The current datapath: decode over views, one owned copy, prepend in place.
 Bytes ForwardPacketBuf(const Bytes& in_wire) {
   Bytes out_wire;
-  KissDecoder dec(KissDecoder::FrameViewHandler(
-      [&](std::uint8_t, KissCommand, ByteView frame_wire) {
-        auto fr = Ax25Frame::DecodeView(frame_wire);
-        if (!fr) {
-          return;
-        }
-        PacketBuf pb;
-        {
-          BufLayerScope scope(BufLayer::kDriver);
-          pb = PacketBuf::FromView(fr->info, PacketBuf::kDefaultHeadroom);
-        }
-        if (!Ipv4Header::DecodeView(pb.view())) {
-          return;
-        }
-        Ipv4Header::DecrementTtlInPlace(pb.data());
-        Ax25Frame out = Ax25Frame::MakeUi(kNextCall, kGwCall, kPidIp, {});
-        out.EncodeTo(&pb);
-        KissEncodeInto(pb.view(), &out_wire);
-      }));
+  KissDecoder dec([&](std::uint8_t, KissCommand, ByteView frame_wire) {
+    auto fr = Ax25Frame::DecodeView(frame_wire);
+    if (!fr) {
+      return;
+    }
+    PacketBuf pb;
+    {
+      BufLayerScope scope(BufLayer::kDriver);
+      pb = PacketBuf::FromView(fr->info, PacketBuf::kDefaultHeadroom);
+    }
+    if (!Ipv4Header::DecodeView(pb.view())) {
+      return;
+    }
+    Ipv4Header::DecrementTtlInPlace(pb.data());
+    Ax25Frame out = Ax25Frame::MakeUi(kNextCall, kGwCall, kPidIp, {});
+    out.EncodeTo(&pb);
+    KissEncodeInto(pb.view(), &out_wire);
+  });
   dec.Feed(in_wire);
   return out_wire;
 }

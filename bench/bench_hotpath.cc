@@ -53,22 +53,21 @@ Bytes MakeInputWire(std::size_t payload_len) {
 class Forwarder {
  public:
   Forwarder()
-      : dec_(KissDecoder::FrameViewHandler(
-            [this](std::uint8_t, KissCommand, ByteView frame_wire) {
-              auto fr = Ax25Frame::DecodeView(frame_wire);
-              if (!fr) {
-                return;
-              }
-              PacketBuf pb = PacketBuf::FromView(fr->info, PacketBuf::kDefaultHeadroom);
-              if (!Ipv4Header::DecodeView(pb.view())) {
-                return;
-              }
-              Ipv4Header::DecrementTtlInPlace(pb.data());
-              Ax25Frame out = Ax25Frame::MakeUi(kNextCall, kGwCall, kPidIp, {});
-              out.EncodeTo(&pb);
-              KissEncodeInto(pb.view(), &out_wire_);
-              ++forwarded_;
-            })) {}
+      : dec_([this](std::uint8_t, KissCommand, ByteView frame_wire) {
+          auto fr = Ax25Frame::DecodeView(frame_wire);
+          if (!fr) {
+            return;
+          }
+          PacketBuf pb = PacketBuf::FromView(fr->info, PacketBuf::kDefaultHeadroom);
+          if (!Ipv4Header::DecodeView(pb.view())) {
+            return;
+          }
+          Ipv4Header::DecrementTtlInPlace(pb.data());
+          Ax25Frame out = Ax25Frame::MakeUi(kNextCall, kGwCall, kPidIp, {});
+          out.EncodeTo(&pb);
+          KissEncodeInto(pb.view(), &out_wire_);
+          ++forwarded_;
+        }) {}
 
   void Feed(const Bytes& in_wire) {
     out_wire_.clear();

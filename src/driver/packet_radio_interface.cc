@@ -15,10 +15,9 @@ PacketRadioInterface::PacketRadioInterface(Simulator* sim, SerialEndpoint* seria
       sim_(sim),
       serial_(serial),
       config_(std::move(config)),
-      decoder_(KissDecoder::FrameViewHandler(
-          [this](std::uint8_t port, KissCommand command, ByteView payload) {
-            OnKissFrame(port, command, payload);
-          })) {
+      decoder_([this](std::uint8_t port, KissCommand command, ByteView payload) {
+        OnKissFrame(port, command, payload);
+      }) {
   ArpConfig arp_config;
   arp_config.hardware_type = kArpHtypeAx25;
   arp_config.broadcast_hw = Ax25HwAddr{Ax25Address::Broadcast(), {}};
@@ -45,11 +44,6 @@ PacketRadioInterface::PacketRadioInterface(Simulator* sim, SerialEndpoint* seria
       });
   serial_->set_receive_chunk_handler(
       [this](const std::uint8_t* data, std::size_t len) { OnSerialChunk(data, len); });
-}
-
-void PacketRadioInterface::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
-  BufLayerScope scope(BufLayer::kDriver);
-  Output(PacketBuf::FromView(ip_datagram, PacketBuf::kDefaultHeadroom), next_hop);
 }
 
 void PacketRadioInterface::Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {

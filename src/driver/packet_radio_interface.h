@@ -80,10 +80,8 @@ class PacketRadioInterface : public NetInterface {
   // The on-the-fly KISS unescaper; exposes framing-error counters.
   const KissDecoder& kiss_decoder() const { return decoder_; }
 
-  // NetInterface. The PacketBuf path is the native one: the AX.25 address
-  // block lands in the datagram's headroom and KISS escaping is the only
-  // wire-write. The Bytes overload copies into a fresh PacketBuf first.
-  void Output(const Bytes& ip_datagram, IpV4Address next_hop) override;
+  // NetInterface. The AX.25 address block lands in the datagram's headroom
+  // and KISS escaping is the only wire-write.
   void Output(PacketBuf&& ip_datagram, IpV4Address next_hop) override;
 
   // --- User-level AX.25 access (§2.4 future work) -------------------------

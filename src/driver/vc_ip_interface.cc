@@ -52,7 +52,8 @@ void Ax25VcIpInterface::AttachConnection(const Ax25Address& callsign,
   });
 }
 
-void Ax25VcIpInterface::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
+void Ax25VcIpInterface::Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {
+  Bytes datagram = ip_datagram.Release();
   if (!up_) {
     ++stats_.oerrors;
     return;
@@ -64,7 +65,7 @@ void Ax25VcIpInterface::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
     return;
   }
   ++stats_.opackets;
-  stats_.obytes += ip_datagram.size();
+  stats_.obytes += datagram.size();
   auto& slot = peers_[it->second];
   if (!slot) {
     slot = std::make_unique<Peer>();
@@ -75,14 +76,14 @@ void Ax25VcIpInterface::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
     ++circuits_opened_;
     Ax25Connection* conn = link_->Connect(it->second);
     AttachConnection(it->second, conn);
-    peer->pending.push_back(ip_datagram);
+    peer->pending.push_back(std::move(datagram));
     return;
   }
   if (peer->conn->state() == Ax25Connection::State::kConnecting) {
-    peer->pending.push_back(ip_datagram);
+    peer->pending.push_back(std::move(datagram));
     return;
   }
-  peer->conn->Send(ip_datagram);
+  peer->conn->Send(datagram);
 }
 
 void Ax25VcIpInterface::OnStreamData(Peer* peer, const Bytes& data) {
@@ -113,7 +114,7 @@ void Ax25VcIpInterface::OnStreamData(Peer* peer, const Bytes& data) {
     peer->rx_buffer.erase(peer->rx_buffer.begin(),
                           peer->rx_buffer.begin() + static_cast<std::ptrdiff_t>(total));
     ++datagrams_reassembled_;
-    DeliverToStack(datagram);
+    DeliverToStack(PacketBuf::Adopt(std::move(datagram)));
   }
 }
 

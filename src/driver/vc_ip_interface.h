@@ -37,7 +37,7 @@ class Ax25VcIpInterface : public NetInterface {
   // callsigns administratively (as KA9Q's route/arp tables did for VC).
   void MapIpToCallsign(IpV4Address ip, const Ax25Address& callsign);
 
-  void Output(const Bytes& ip_datagram, IpV4Address next_hop) override;
+  void Output(PacketBuf&& ip_datagram, IpV4Address next_hop) override;
 
   // The underlying connected-mode link (for per-circuit ARQ statistics).
   Ax25Link& link() { return *link_; }

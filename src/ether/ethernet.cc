@@ -55,11 +55,6 @@ EthernetInterface::EthernetInterface(EtherSegment* segment, std::string name,
   segment->Attach(this);
 }
 
-void EthernetInterface::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
-  BufLayerScope scope(BufLayer::kEther);
-  Output(PacketBuf::FromView(ip_datagram, PacketBuf::kDefaultHeadroom), next_hop);
-}
-
 void EthernetInterface::Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {
   if (!up_) {
     ++stats_.oerrors;

@@ -53,9 +53,8 @@ class EthernetInterface : public NetInterface {
   const EtherAddr& mac() const { return mac_; }
   ArpResolver& arp() { return *arp_; }
 
-  // NetInterface. The PacketBuf path prepends the 14-byte Ethernet-II header
-  // into the datagram's headroom; the Bytes overload copies first.
-  void Output(const Bytes& ip_datagram, IpV4Address next_hop) override;
+  // NetInterface. Prepends the 14-byte Ethernet-II header into the
+  // datagram's headroom.
   void Output(PacketBuf&& ip_datagram, IpV4Address next_hop) override;
 
  private:

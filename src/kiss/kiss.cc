@@ -165,8 +165,9 @@ void KissDecoder::EmitFrame() {
     command = static_cast<KissCommand>(type & 0x0F);
   }
   ++frames_decoded_;
+  // Aliases current_, which is cleared only after the callback.
+  ByteView payload(current_.data() + 1, current_.size() - 1);
   if (auto* t = trace::Active()) {
-    ByteView payload(current_.data() + 1, current_.size() - 1);
     if (command == KissCommand::kData) {
       t->RecordFrame(trace::Layer::kKiss, trace::Kind::kKissFrameIn,
                      trace::Dir::kNone, {}, payload, {}, port);
@@ -176,25 +177,8 @@ void KissDecoder::EmitFrame() {
                 "cmd=" + std::to_string(static_cast<int>(command)));
     }
   }
-  if (view_handler_) {
-    // Zero-copy delivery: the view aliases current_ and is consumed within
-    // the callback; clear only afterwards.
-    view_handler_(port, command,
-                  ByteView(current_.data() + 1, current_.size() - 1));
-    current_.clear();
-    return;
-  }
-  KissFrame frame;
-  frame.port = port;
-  frame.command = command;
-  {
-    BufLayerScope scope(BufLayer::kKiss);
-    BufNoteAlloc();
-    BufNoteCopy(current_.size() - 1);
-  }
-  frame.payload.assign(current_.begin() + 1, current_.end());
+  handler_(port, command, payload);
   current_.clear();
-  handler_(frame);
 }
 
 void KissDecoder::Accept(std::uint8_t byte) {

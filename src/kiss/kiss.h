@@ -68,19 +68,16 @@ Bytes KissEncodeData(const Bytes& ax25_frame, std::uint8_t port = 0);
 // protocol_errors and bad_escapes) per the Chepponis/Karn spec: a FESC-FEND
 // drops the frame and the FEND still delimits (the next frame decodes
 // normally); any other invalid escape discards up to the next FEND. Frames
-// longer than `max_frame` are dropped (counted in oversize_drops).
+// longer than `max_frame` are dropped (counted in oversize_drops). Delivery is
+// zero-copy: the payload view aliases the decoder's buffer and is valid only
+// during the callback; a handler copies (and accounts for) what it keeps.
 class KissDecoder {
  public:
-  using FrameHandler = std::function<void(const KissFrame&)>;
-  // Zero-copy delivery: the payload view aliases the decoder's internal
-  // buffer and is valid only for the duration of the callback.
-  using FrameViewHandler =
+  using FrameHandler =
       std::function<void(std::uint8_t port, KissCommand command, ByteView payload)>;
 
   explicit KissDecoder(FrameHandler handler, std::size_t max_frame = 4096)
       : handler_(std::move(handler)), max_frame_(max_frame) {}
-  explicit KissDecoder(FrameViewHandler handler, std::size_t max_frame = 4096)
-      : view_handler_(std::move(handler)), max_frame_(max_frame) {}
 
   void Feed(std::uint8_t byte);
   // Chunked feed, for silo-mode serial delivery: behaves exactly as feeding
@@ -106,7 +103,6 @@ class KissDecoder {
   void Accept(std::uint8_t byte);
 
   FrameHandler handler_;
-  FrameViewHandler view_handler_;
   std::size_t max_frame_;
   State state_ = State::kIdle;
   Bytes current_;

@@ -67,9 +67,6 @@ class ArpResolver {
   // Output path: resolve `next_hop` and send, queueing while resolution is in
   // flight. Broadcast next hops bypass the cache.
   void Send(PacketBuf&& ip_datagram, IpV4Address next_hop);
-  void Send(const Bytes& ip_datagram, IpV4Address next_hop) {
-    Send(PacketBuf::FromView(ip_datagram, PacketBuf::kDefaultHeadroom), next_hop);
-  }
 
   // Input path: process a received ARP packet addressed to this link.
   void HandleArpPacket(ByteView wire);

@@ -10,6 +10,19 @@ namespace upr {
 
 namespace {
 constexpr const char* kTag = "icmp";
+
+// Encodes `msg` into a headroom-reserved buffer (the IP-layer copy every ICMP
+// message pays) and sends it.
+bool SendMessage(NetStack* stack, IpV4Address dst, const IcmpMessage& msg,
+                 const NetStack::SendOptions& opts = {}) {
+  PacketBuf pb;
+  {
+    BufLayerScope scope(BufLayer::kIp);
+    pb = PacketBuf::FromView(msg.Encode());
+  }
+  return stack->SendDatagram(dst, kIpProtoIcmp, std::move(pb), opts);
+}
+
 }  // namespace
 
 Bytes IcmpMessage::Encode() const {
@@ -86,7 +99,7 @@ void Icmp::HandleInput(const Ipv4Header& ip, ByteView payload, NetInterface* in)
       if (stack_->IsBroadcastAddress(ip.destination)) {
         opts.source = IpV4Address();  // let routing pick
       }
-      stack_->SendDatagram(ip.source, kIpProtoIcmp, reply.Encode(), opts);
+      SendMessage(stack_, ip.source, reply, opts);
       return;
     }
     case kIcmpEchoReply: {
@@ -145,7 +158,7 @@ std::uint16_t Icmp::Ping(IpV4Address dst, std::size_t payload_len, PingCallback 
     }
   });
   pending_pings_[id] = std::move(ping);
-  if (!stack_->SendDatagram(dst, kIpProtoIcmp, msg.Encode())) {
+  if (!SendMessage(stack_, dst, msg)) {
     auto it = pending_pings_.find(id);
     if (it != pending_pings_.end()) {
       PendingPing p = std::move(it->second);
@@ -180,7 +193,7 @@ void Icmp::SendError(const Ipv4Header& orig, ByteView orig_payload, std::uint8_t
                                          std::min<std::size_t>(8, orig_payload.size()))));
   w.WriteBytes(orig_hdr);
   ++errors_sent_;
-  stack_->SendDatagram(orig.source, kIpProtoIcmp, msg.Encode());
+  SendMessage(stack_, orig.source, msg);
 }
 
 void Icmp::SendUnreachable(const Ipv4Header& orig, ByteView orig_payload,
@@ -207,7 +220,7 @@ void Icmp::SendRedirect(const Ipv4Header& orig, ByteView orig_payload,
                                          std::min<std::size_t>(8, orig_payload.size()))));
   w.WriteBytes(orig_hdr);
   ++redirects_sent_;
-  stack_->SendDatagram(orig.source, kIpProtoIcmp, msg.Encode());
+  SendMessage(stack_, orig.source, msg);
 }
 
 void Icmp::HandleRedirect(const Ipv4Header& ip, const IcmpMessage& msg,
@@ -247,7 +260,7 @@ void Icmp::SendGatewayControl(IpV4Address gateway, std::uint8_t code,
   msg.type = kIcmpGatewayControl;
   msg.code = code;
   msg.body = body.Encode();
-  stack_->SendDatagram(gateway, kIpProtoIcmp, msg.Encode());
+  SendMessage(stack_, gateway, msg);
 }
 
 void Icmp::RegisterTypeHandler(std::uint8_t type, TypeHandler handler) {

@@ -1,8 +1,9 @@
 // The network-interface abstraction — our equivalent of the Ultrix `if_net`
 // structure (§2.2): a name, an address, an MTU, and "pointers to the
 // procedures used to initialize the interface, send packets, change
-// parameters", here expressed as virtual methods. Concrete drivers:
-// EthernetInterface (src/ether) and PacketRadioInterface (src/driver).
+// parameters", here expressed as virtual methods. As with `if_output`, one
+// packet representation crosses the boundary both ways: a PacketBuf, moved.
+// Drivers live in src/ether, src/driver, src/netrom and src/net (TrunkLink).
 #ifndef SRC_NET_INTERFACE_H_
 #define SRC_NET_INTERFACE_H_
 
@@ -10,7 +11,6 @@
 #include <string>
 
 #include "src/net/ip_address.h"
-#include "src/util/byte_buffer.h"
 #include "src/util/packet_buf.h"
 
 namespace upr {
@@ -49,14 +49,9 @@ class NetInterface {
 
   // Sends one IP datagram (already serialized) toward `next_hop` — a
   // neighbour on this link. Handles link-address resolution and framing.
-  virtual void Output(const Bytes& ip_datagram, IpV4Address next_hop) = 0;
-  // PacketBuf-carrying variant — the datapath entry point. Headroom-aware
-  // drivers override it to prepend link framing in place; the default
-  // flattens the buffer and calls the Bytes overload so legacy drivers keep
-  // working unchanged.
-  virtual void Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {
-    Output(ip_datagram.Release(), next_hop);
-  }
+  // Headroom-aware drivers prepend link framing in place; drivers that need
+  // an owned byte string take `ip_datagram.Release()`.
+  virtual void Output(PacketBuf&& ip_datagram, IpV4Address next_hop) = 0;
 
   NetStack* stack() const { return stack_; }
   InterfaceStats& stats() { return stats_; }
@@ -65,9 +60,8 @@ class NetInterface {
  protected:
   friend class NetStack;
 
-  // Delivers a received IP datagram to the owning stack's input queue.
-  void DeliverToStack(const Bytes& ip_datagram);
-  // Move-in variant: the buffer rides the input queue without copying.
+  // Delivers a received IP datagram to the owning stack's input queue by move
+  // (an owned byte string goes in through PacketBuf::Adopt).
   void DeliverToStack(PacketBuf&& ip_datagram);
 
   std::string name_;

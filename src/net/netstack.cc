@@ -31,12 +31,6 @@ void NetInterface::Configure(IpV4Address address, int prefix_len) {
   }
 }
 
-void NetInterface::DeliverToStack(const Bytes& ip_datagram) {
-  if (stack_ != nullptr) {
-    stack_->EnqueueFromDriver(ip_datagram, this);
-  }
-}
-
 void NetInterface::DeliverToStack(PacketBuf&& ip_datagram) {
   if (stack_ != nullptr) {
     stack_->EnqueueFromDriver(std::move(ip_datagram), this);
@@ -133,16 +127,6 @@ bool NetStack::SendDatagram(IpV4Address dst, std::uint8_t protocol, PacketBuf&& 
   ++ip_stats_.sent;
   header.EncodeTo(&payload);
   return TransmitVia(header, std::move(payload), out, next_hop);
-}
-
-bool NetStack::SendDatagram(IpV4Address dst, std::uint8_t protocol, const Bytes& payload,
-                            const SendOptions& opts) {
-  PacketBuf pb;
-  {
-    BufLayerScope scope(BufLayer::kIp);
-    pb = PacketBuf::FromView(payload, PacketBuf::kDefaultHeadroom);
-  }
-  return SendDatagram(dst, protocol, std::move(pb), opts);
 }
 
 bool NetStack::TransmitVia(const Ipv4Header& header, PacketBuf&& datagram,

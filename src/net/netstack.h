@@ -97,21 +97,14 @@ class NetStack {
   // route exists.
   bool SendDatagram(IpV4Address dst, std::uint8_t protocol, PacketBuf&& payload,
                     const SendOptions& opts);
-  // Legacy entry points: copy the payload into a headroom-reserved PacketBuf
-  // and take the zero-copy path from there.
-  bool SendDatagram(IpV4Address dst, std::uint8_t protocol, const Bytes& payload,
-                    const SendOptions& opts);
-  bool SendDatagram(IpV4Address dst, std::uint8_t protocol, const Bytes& payload) {
-    return SendDatagram(dst, protocol, payload, SendOptions{});
+  bool SendDatagram(IpV4Address dst, std::uint8_t protocol, PacketBuf&& payload) {
+    return SendDatagram(dst, protocol, std::move(payload), SendOptions{});
   }
 
   // Driver input: appends to the bounded IP input queue; a zero-delay event
   // drains it (the softnet half of the paper's interrupt handler). Packets
   // arriving at a full queue are dropped, as in 4.3BSD's IF_ENQUEUE.
   void EnqueueFromDriver(PacketBuf ip_datagram, NetInterface* in);
-  void EnqueueFromDriver(Bytes ip_datagram, NetInterface* in) {
-    EnqueueFromDriver(PacketBuf::Adopt(std::move(ip_datagram)), in);
-  }
 
   bool IsLocalAddress(IpV4Address a) const;
   // True for the all-ones address or a directly attached subnet broadcast.

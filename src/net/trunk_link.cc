@@ -35,8 +35,11 @@ SimTime TrunkLink::TransmitTime(std::size_t bytes) const {
                               config_.bit_rate);
 }
 
-void TrunkLink::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
+void TrunkLink::Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {
   (void)next_hop;  // point-to-point: there is exactly one place to go
+  // The cross-shard handoff carries an owned byte string, never a PacketBuf
+  // (PacketBufs never migrate between shard threads mid-flight).
+  Bytes data = ip_datagram.Release();
   UPR_INVARIANT(peer_ != nullptr, "trunk %s: output before Wire()",
                 name_.c_str());
   if (!up_) {
@@ -50,22 +53,20 @@ void TrunkLink::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
   Simulator* sim = shards_->shard(shard_);
   const SimTime now = sim->Now();
   const SimTime start = std::max(now, busy_until_);
-  busy_until_ = start + TransmitTime(ip_datagram.size());
+  busy_until_ = start + TransmitTime(data.size());
   const SimTime deliver = busy_until_ + config_.latency;
   ++inflight_;
   ++stats_.opackets;
-  stats_.obytes += ip_datagram.size();
+  stats_.obytes += data.size();
   // The local completion event frees a queue slot when the last bit departs;
-  // it stays on this shard. The delivery crosses shards through the handoff
-  // lane, carrying an owned copy of the bytes (buffers never migrate
-  // between shard threads).
+  // the delivery crosses shards through the handoff lane.
   sim->ScheduleAt(busy_until_, [this] {
     UPR_INVARIANT(inflight_ > 0, "trunk %s: inflight underflow",
                   name_.c_str());
     --inflight_;
   });
   shards_->Post(shard_, peer_->shard_, deliver,
-                [peer = peer_, data = ip_datagram]() mutable {
+                [peer = peer_, data = std::move(data)]() mutable {
                   peer->RxDeliver(std::move(data));
                 });
 }
@@ -77,7 +78,7 @@ void TrunkLink::RxDeliver(Bytes&& ip_datagram) {
   }
   ++stats_.ipackets;
   stats_.ibytes += ip_datagram.size();
-  DeliverToStack(ip_datagram);
+  DeliverToStack(PacketBuf::Adopt(std::move(ip_datagram)));
 }
 
 }  // namespace upr

@@ -30,7 +30,8 @@ struct TrunkConfig {
   // ShardSet lookahead (the topology generator derives the lookahead FROM
   // the minimum trunk latency, so this holds by construction).
   SimTime latency = 1'000'000;  // 1 ms
-  // Datagrams in flight (serializing or propagating) before tail drop.
+  // Datagrams queued or serializing before tail drop (a slot frees as the
+  // last bit departs).
   std::size_t queue_limit = 64;
 };
 
@@ -49,7 +50,7 @@ class TrunkLink : public NetInterface {
   TrunkLink* peer() const { return peer_; }
   const TrunkConfig& config() const { return config_; }
 
-  void Output(const Bytes& ip_datagram, IpV4Address next_hop) override;
+  void Output(PacketBuf&& ip_datagram, IpV4Address next_hop) override;
 
  private:
   // Runs on the peer's shard (posted closure).

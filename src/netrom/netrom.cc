@@ -303,7 +303,7 @@ NetRomIpInterface::NetRomIpInterface(NetRomNode* node, std::string name, std::si
   node_->RegisterOpcodeHandler(
       NetRomPacket::kOpcodeIp,
       [this](const Ax25Address&, std::uint8_t, const Bytes& payload) {
-        DeliverToStack(payload);
+        DeliverToStack(PacketBuf::Adopt(Bytes(payload)));
       });
 }
 
@@ -311,7 +311,8 @@ void NetRomIpInterface::MapIpToNode(IpV4Address ip, const Ax25Address& node) {
   ip_to_node_[ip] = node;
 }
 
-void NetRomIpInterface::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
+void NetRomIpInterface::Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {
+  Bytes datagram = ip_datagram.Release();
   if (!up_) {
     ++stats_.oerrors;
     return;
@@ -323,8 +324,8 @@ void NetRomIpInterface::Output(const Bytes& ip_datagram, IpV4Address next_hop) {
     return;
   }
   ++stats_.opackets;
-  stats_.obytes += ip_datagram.size();
-  if (!node_->SendDatagram(it->second, NetRomPacket::kOpcodeIp, ip_datagram)) {
+  stats_.obytes += datagram.size();
+  if (!node_->SendDatagram(it->second, NetRomPacket::kOpcodeIp, datagram)) {
     ++stats_.oerrors;
   }
 }

@@ -162,7 +162,7 @@ class NetRomIpInterface : public NetInterface {
   // Maps a next-hop IP (the remote tunnel endpoint) to its node callsign.
   void MapIpToNode(IpV4Address ip, const Ax25Address& node);
 
-  void Output(const Bytes& ip_datagram, IpV4Address next_hop) override;
+  void Output(PacketBuf&& ip_datagram, IpV4Address next_hop) override;
 
   std::uint64_t no_mapping_drops() const { return no_mapping_drops_; }
 

@@ -4,6 +4,7 @@
 #include "src/trace/trace.h"
 #include "src/util/crc.h"
 #include "src/util/logging.h"
+#include "src/util/packet_buf.h"
 
 namespace upr {
 
@@ -23,7 +24,9 @@ KissTnc::KissTnc(Simulator* sim, RadioChannel* channel, SerialEndpoint* serial,
       name_(std::move(name)),
       config_(std::move(config)),
       serial_(serial),
-      decoder_([this](const KissFrame& f) { OnKissFrame(f); }) {
+      decoder_([this](std::uint8_t, KissCommand command, ByteView payload) {
+        OnKissFrame(command, payload);
+      }) {
   port_ = channel->CreatePort("tnc:" + name_);
   mac_ = std::make_unique<CsmaMac>(sim, port_, config_.mac, seed);
   serial_->set_receive_chunk_handler(
@@ -40,17 +43,26 @@ void KissTnc::OnSerialChunk(const std::uint8_t* data, std::size_t len) {
   decoder_.Feed(data, len);
 }
 
-void KissTnc::OnKissFrame(const KissFrame& f) {
+void KissTnc::OnKissFrame(KissCommand command, ByteView payload) {
   if (!kiss_mode_) {
     return;  // a kReturn earlier in the same delivery chunk left KISS mode
   }
-  switch (f.command) {
+  switch (command) {
     case KissCommand::kData: {
-      if (f.payload.empty()) {
+      if (payload.empty()) {
         return;
       }
       ++frames_from_host_;
-      Bytes wire = f.payload;
+      // The frame's one owned copy: out of the decoder's buffer onto the MAC
+      // queue, reserved with room for the FCS.
+      {
+        BufLayerScope scope(BufLayer::kKiss);
+        BufNoteAlloc();
+        BufNoteCopy(payload.size());
+      }
+      Bytes wire;
+      wire.reserve(payload.size() + 2);
+      wire.assign(payload.begin(), payload.end());
       std::uint16_t fcs = Crc16Ccitt(wire);
       wire.push_back(static_cast<std::uint8_t>(fcs & 0xFF));
       wire.push_back(static_cast<std::uint8_t>(fcs >> 8));
@@ -58,40 +70,40 @@ void KissTnc::OnKissFrame(const KissFrame& f) {
       return;
     }
     case KissCommand::kTxDelay:
-      if (!f.payload.empty()) {
-        mac_->params().tx_delay = KissTimeUnits(f.payload[0]);
+      if (!payload.empty()) {
+        mac_->params().tx_delay = KissTimeUnits(payload[0]);
         NoteParamUpdate();
       } else {
         ++param_errors_;
       }
       return;
     case KissCommand::kPersistence:
-      if (!f.payload.empty()) {
-        mac_->params().persistence = MacParams::PersistenceFromKiss(f.payload[0]);
+      if (!payload.empty()) {
+        mac_->params().persistence = MacParams::PersistenceFromKiss(payload[0]);
         NoteParamUpdate();
       } else {
         ++param_errors_;
       }
       return;
     case KissCommand::kSlotTime:
-      if (!f.payload.empty()) {
-        mac_->params().slot_time = KissTimeUnits(f.payload[0]);
+      if (!payload.empty()) {
+        mac_->params().slot_time = KissTimeUnits(payload[0]);
         NoteParamUpdate();
       } else {
         ++param_errors_;
       }
       return;
     case KissCommand::kTxTail:
-      if (!f.payload.empty()) {
-        mac_->params().tx_tail = KissTimeUnits(f.payload[0]);
+      if (!payload.empty()) {
+        mac_->params().tx_tail = KissTimeUnits(payload[0]);
         NoteParamUpdate();
       } else {
         ++param_errors_;
       }
       return;
     case KissCommand::kFullDuplex:
-      if (!f.payload.empty()) {
-        mac_->params().full_duplex = f.payload[0] != 0;
+      if (!payload.empty()) {
+        mac_->params().full_duplex = payload[0] != 0;
         NoteParamUpdate();
       } else {
         ++param_errors_;

@@ -75,7 +75,7 @@ class KissTnc {
 
  private:
   void OnSerialChunk(const std::uint8_t* data, std::size_t len);
-  void OnKissFrame(const KissFrame& f);
+  void OnKissFrame(KissCommand command, ByteView payload);
   void NoteParamUpdate();
   void OnRadioReceive(const Bytes& wire, bool corrupted);
   bool PassesFilter(ByteView ax25_body) const;

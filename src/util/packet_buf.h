@@ -91,7 +91,7 @@ class BufLayerScope {
 };
 
 // Manual accounting hooks for code that manages its own buffers (e.g. the
-// KISS escape writer, the legacy copy-mode KISS frame emit).
+// KISS escape writer, the TNC copying a host frame onto its MAC queue).
 inline void BufNoteCopy(std::size_t n) {
   detail::CurrentBufStats().bytes_copied += n;
 }

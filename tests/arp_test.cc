@@ -105,8 +105,8 @@ class ArpResolverTest : public ::testing::Test {
 
 TEST_F(ArpResolverTest, ResolvesAndFlushesQueue) {
   Build(kArpHtypeEthernet);
-  a_->Send(BytesFromString("pkt1"), IpV4Address(10, 0, 0, 2));
-  a_->Send(BytesFromString("pkt2"), IpV4Address(10, 0, 0, 2));
+  a_->Send(PacketBuf::FromBytes(BytesFromString("pkt1")), IpV4Address(10, 0, 0, 2));
+  a_->Send(PacketBuf::FromBytes(BytesFromString("pkt2")), IpV4Address(10, 0, 0, 2));
   EXPECT_TRUE(a_sent_.empty());  // queued pending resolution
   sim_.RunUntil(Seconds(1));
   ASSERT_EQ(a_sent_.size(), 2u);
@@ -118,26 +118,27 @@ TEST_F(ArpResolverTest, ResolvesAndFlushesQueue) {
 
 TEST_F(ArpResolverTest, SecondSendUsesCache) {
   Build(kArpHtypeEthernet);
-  a_->Send(BytesFromString("x"), IpV4Address(10, 0, 0, 2));
+  a_->Send(PacketBuf::FromBytes(BytesFromString("x")), IpV4Address(10, 0, 0, 2));
   sim_.RunUntil(Seconds(1));
-  a_->Send(BytesFromString("y"), IpV4Address(10, 0, 0, 2));
+  a_->Send(PacketBuf::FromBytes(BytesFromString("y")), IpV4Address(10, 0, 0, 2));
   EXPECT_EQ(a_sent_.size(), 2u);  // immediate, no new request
   EXPECT_EQ(a_->requests_sent(), 1u);
 }
 
 TEST_F(ArpResolverTest, PeerLearnsRequesterFromRequest) {
   Build(kArpHtypeEthernet);
-  a_->Send(BytesFromString("x"), IpV4Address(10, 0, 0, 2));
+  a_->Send(PacketBuf::FromBytes(BytesFromString("x")), IpV4Address(10, 0, 0, 2));
   sim_.RunUntil(Seconds(1));
   // B can now send to A without its own request (gleaned from the request).
-  b_->Send(BytesFromString("back"), IpV4Address(10, 0, 0, 1));
+  b_->Send(PacketBuf::FromBytes(BytesFromString("back")), IpV4Address(10, 0, 0, 1));
   EXPECT_EQ(b_sent_.size(), 1u);
   EXPECT_EQ(b_->requests_sent(), 0u);
 }
 
 TEST_F(ArpResolverTest, RetriesThenFails) {
   Build(kArpHtypeEthernet);
-  a_->Send(BytesFromString("void"), IpV4Address(10, 0, 0, 99));  // nobody home
+  // Nobody home.
+  a_->Send(PacketBuf::FromBytes(BytesFromString("void")), IpV4Address(10, 0, 0, 99));
   sim_.RunUntil(Seconds(30));
   EXPECT_EQ(a_->requests_sent(), 3u);
   EXPECT_EQ(a_->resolution_failures(), 1u);
@@ -147,7 +148,7 @@ TEST_F(ArpResolverTest, RetriesThenFails) {
 
 TEST_F(ArpResolverTest, BroadcastNextHopBypassesCache) {
   Build(kArpHtypeEthernet);
-  a_->Send(BytesFromString("bcast"), IpV4Address::LimitedBroadcast());
+  a_->Send(PacketBuf::FromBytes(BytesFromString("bcast")), IpV4Address::LimitedBroadcast());
   ASSERT_EQ(a_sent_.size(), 1u);
   EXPECT_TRUE(std::get<EtherAddr>(a_sent_[0].hw).IsBroadcast());
 }
@@ -155,7 +156,7 @@ TEST_F(ArpResolverTest, BroadcastNextHopBypassesCache) {
 TEST_F(ArpResolverTest, PendingQueueBounded) {
   Build(kArpHtypeEthernet);
   for (int i = 0; i < 10; ++i) {
-    a_->Send(Bytes{static_cast<std::uint8_t>(i)}, IpV4Address(10, 0, 0, 2));
+    a_->Send(PacketBuf::FromBytes(Bytes{static_cast<std::uint8_t>(i)}), IpV4Address(10, 0, 0, 2));
   }
   sim_.RunUntil(Seconds(1));
   // Default max_pending_per_entry = 4: the last 4 survive.
@@ -168,7 +169,7 @@ TEST_F(ArpResolverTest, StaticAx25EntryKeepsDigipeaterPath) {
   Build(kArpHtypeAx25);
   std::vector<Ax25Address> path{Ax25Address("WB7RA", 0), Ax25Address("WB7RB", 0)};
   a_->AddStatic(IpV4Address(10, 0, 0, 2), Ax25HwAddr{Ax25Address("CALL2", 0), path});
-  a_->Send(BytesFromString("via digis"), IpV4Address(10, 0, 0, 2));
+  a_->Send(PacketBuf::FromBytes(BytesFromString("via digis")), IpV4Address(10, 0, 0, 2));
   ASSERT_EQ(a_sent_.size(), 1u);
   EXPECT_EQ(std::get<Ax25HwAddr>(a_sent_[0].hw).digipeaters, path);
   // A live reply must not clobber the configured path.
@@ -180,20 +181,20 @@ TEST_F(ArpResolverTest, StaticAx25EntryKeepsDigipeaterPath) {
   reply.target_hw = HwFor(kArpHtypeAx25, 1);
   reply.target_ip = IpV4Address(10, 0, 0, 1);
   a_->HandleArpPacket(reply.Encode());
-  a_->Send(BytesFromString("again"), IpV4Address(10, 0, 0, 2));
+  a_->Send(PacketBuf::FromBytes(BytesFromString("again")), IpV4Address(10, 0, 0, 2));
   ASSERT_EQ(a_sent_.size(), 2u);
   EXPECT_EQ(std::get<Ax25HwAddr>(a_sent_[1].hw).digipeaters, path);
 }
 
 TEST_F(ArpResolverTest, EntriesExpireAfterTtl) {
   Build(kArpHtypeEthernet);
-  a_->Send(BytesFromString("x"), IpV4Address(10, 0, 0, 2));
+  a_->Send(PacketBuf::FromBytes(BytesFromString("x")), IpV4Address(10, 0, 0, 2));
   sim_.RunUntil(Seconds(1));
   EXPECT_TRUE(a_->Lookup(IpV4Address(10, 0, 0, 2)).has_value());
   sim_.RunUntil(Seconds(25 * 60));  // past the 20-minute TTL
   EXPECT_FALSE(a_->Lookup(IpV4Address(10, 0, 0, 2)).has_value());
   // Sending again re-resolves.
-  a_->Send(BytesFromString("y"), IpV4Address(10, 0, 0, 2));
+  a_->Send(PacketBuf::FromBytes(BytesFromString("y")), IpV4Address(10, 0, 0, 2));
   sim_.RunUntil(Seconds(25 * 60 + 5));
   EXPECT_EQ(a_sent_.size(), 2u);
   EXPECT_EQ(a_->requests_sent(), 2u);
@@ -201,7 +202,7 @@ TEST_F(ArpResolverTest, EntriesExpireAfterTtl) {
 
 TEST_F(ArpResolverTest, FlushRemovesDynamicKeepsStatic) {
   Build(kArpHtypeEthernet);
-  a_->Send(BytesFromString("x"), IpV4Address(10, 0, 0, 2));
+  a_->Send(PacketBuf::FromBytes(BytesFromString("x")), IpV4Address(10, 0, 0, 2));
   sim_.RunUntil(Seconds(1));
   a_->AddStatic(IpV4Address(10, 0, 0, 50), EtherAddr::FromIndex(50));
   a_->Flush();

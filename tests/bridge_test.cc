@@ -207,13 +207,13 @@ TEST(BridgePortTest, SplicesExternalKissClientToStation) {
     Bytes wire = KissEncodeData(sabm.Encode());
     ASSERT_EQ(write(fds[1], wire.data(), wire.size()),
               static_cast<ssize_t>(wire.size()));
-    KissDecoder decoder([&](const KissFrame& f) {
-      if (f.command != KissCommand::kData) {
+    KissDecoder decoder([&](std::uint8_t, KissCommand command, ByteView payload) {
+      if (command != KissCommand::kData) {
         return;
       }
-      auto frame = Ax25Frame::Decode(f.payload);
-      if (frame && frame->type == Ax25FrameType::kUa &&
-          frame->destination == *Ax25Address::Parse("KD7EX")) {
+      auto v = Ax25Frame::DecodeView(payload);
+      if (v && v->frame.type == Ax25FrameType::kUa &&
+          v->frame.destination == *Ax25Address::Parse("KD7EX")) {
         got_ua = true;
       }
     });

@@ -23,7 +23,8 @@ TEST(DriverEdgeTest, SerialBacklogCapDropsOutput) {
   pc.radio_if()->AddArpEntry(IpV4Address(44, 24, 0, 11), Ax25Address("KD7AB", 0));
   // Burst far more than the backlog can hold.
   for (int i = 0; i < 30; ++i) {
-    pc.stack().SendDatagram(IpV4Address(44, 24, 0, 11), 99, Bytes(200, 0x11));
+    pc.stack().SendDatagram(IpV4Address(44, 24, 0, 11), 99,
+                            PacketBuf::FromBytes(Bytes(200, 0x11)));
   }
   EXPECT_GT(pc.radio_if()->driver_stats().output_drops, 0u);
   EXPECT_GT(pc.radio_if()->stats().odrops, 0u);
@@ -157,7 +158,7 @@ TEST(TcpEdgeTest, IcmpAdminProhibitedAbortsConnection) {
   std::string error;
   client->set_error_handler([&](const std::string& e) { error = e; });
   tb2.gateway().stack().SendDatagram(Testbed::EtherHostIp(0), kIpProtoIcmp,
-                                     msg.Encode());
+                                     PacketBuf::FromBytes(msg.Encode()));
   tb2.sim().RunUntil(tb2.sim().Now() + Seconds(10));
   EXPECT_EQ(client->state(), TcpState::kClosed);
   EXPECT_NE(error.find("unreachable"), std::string::npos);

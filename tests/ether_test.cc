@@ -35,7 +35,8 @@ TEST_F(EtherTest, DatagramDeliveredWithArp) {
   b_.RegisterProtocol(99, [&](const Ipv4Header&, ByteView p, NetInterface*) {
     got.assign(p.begin(), p.end());
   });
-  EXPECT_TRUE(a_.SendDatagram(IpV4Address(128, 95, 1, 2), 99, BytesFromString("lan")));
+  EXPECT_TRUE(a_.SendDatagram(IpV4Address(128, 95, 1, 2), 99,
+                              PacketBuf::FromBytes(BytesFromString("lan"))));
   sim_.RunUntil(Seconds(5));
   EXPECT_EQ(got, BytesFromString("lan"));
   EXPECT_EQ(a_if_->arp().requests_sent(), 1u);
@@ -49,7 +50,7 @@ TEST_F(EtherTest, MacFilterDropsForeignFrames) {
   ic->Configure(IpV4Address(128, 95, 1, 3), 24);
   auto* c_if = static_cast<EthernetInterface*>(c.AddInterface(std::move(ic)));
   b_.RegisterProtocol(99, [](const Ipv4Header&, ByteView, NetInterface*) {});
-  a_.SendDatagram(IpV4Address(128, 95, 1, 2), 99, Bytes{1});
+  a_.SendDatagram(IpV4Address(128, 95, 1, 2), 99, PacketBuf::FromBytes(Bytes{1}));
   sim_.RunUntil(Seconds(5));
   // C heard the broadcast ARP request but not the unicast IP frame.
   EXPECT_EQ(c_if->stats().ipackets, 0u);
@@ -60,14 +61,14 @@ TEST_F(EtherTest, RoundTripLatencyIsLanScale) {
   bool replied = false;
   SimTime rtt = 0;
   b_.RegisterProtocol(99, [&](const Ipv4Header& h, ByteView p, NetInterface*) {
-    b_.SendDatagram(h.source, 99, Bytes(p.begin(), p.end()));
+    b_.SendDatagram(h.source, 99, PacketBuf::FromView(p));
   });
   a_.RegisterProtocol(99, [&](const Ipv4Header&, ByteView, NetInterface*) {
     replied = true;
     rtt = sim_.Now();
   });
   SimTime t0 = sim_.Now();
-  a_.SendDatagram(IpV4Address(128, 95, 1, 2), 99, payload);
+  a_.SendDatagram(IpV4Address(128, 95, 1, 2), 99, PacketBuf::FromBytes(payload));
   sim_.RunUntil(Seconds(5));
   ASSERT_TRUE(replied);
   // ~1 KB each way at 10 Mb/s plus ARP: well under 10 ms.
@@ -93,7 +94,7 @@ TEST_F(EtherTest, InterfaceDownStopsTraffic) {
     FAIL() << "interface down must not deliver";
   });
   b_if_->SetUp(false);
-  a_.SendDatagram(IpV4Address(128, 95, 1, 2), 99, Bytes{1});
+  a_.SendDatagram(IpV4Address(128, 95, 1, 2), 99, PacketBuf::FromBytes(Bytes{1}));
   sim_.RunUntil(Seconds(30));
 }
 

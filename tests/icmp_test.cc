@@ -105,7 +105,7 @@ TEST_F(IcmpLanTest, ProtocolUnreachableGenerated) {
     EXPECT_EQ(msg.code, kUnreachProtocol);
     got_error = true;
   });
-  a_.SendDatagram(IpV4Address(10, 0, 0, 2), 123, BytesFromString("?"));
+  a_.SendDatagram(IpV4Address(10, 0, 0, 2), 123, PacketBuf::FromBytes(BytesFromString("?")));
   sim_.RunUntil(Seconds(5));
   EXPECT_TRUE(got_error);
   EXPECT_EQ(b_.icmp().errors_sent(), 1u);
@@ -121,7 +121,7 @@ TEST_F(IcmpLanTest, ErrorBodyCarriesOriginalHeader) {
     EXPECT_EQ(parsed->header.protocol, 123);
     EXPECT_EQ(parsed->header.destination, IpV4Address(10, 0, 0, 2));
   });
-  a_.SendDatagram(IpV4Address(10, 0, 0, 2), 123, BytesFromString("12345678"));
+  a_.SendDatagram(IpV4Address(10, 0, 0, 2), 123, PacketBuf::FromBytes(BytesFromString("12345678")));
   sim_.RunUntil(Seconds(5));
 }
 
@@ -131,7 +131,7 @@ TEST_F(IcmpLanTest, NoErrorAboutIcmpError) {
   // unreachable to a host with no protocol 1... actually protocol 1 always
   // registered; instead verify errors_sent stays at 1 after an exchange that
   // would loop if unguarded.
-  a_.SendDatagram(IpV4Address(10, 0, 0, 2), 123, Bytes{});
+  a_.SendDatagram(IpV4Address(10, 0, 0, 2), 123, PacketBuf());
   sim_.RunUntil(Seconds(5));
   EXPECT_EQ(b_.icmp().errors_sent(), 1u);
   EXPECT_EQ(a_.icmp().errors_sent(), 0u);

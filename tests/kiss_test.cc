@@ -7,9 +7,16 @@
 namespace upr {
 namespace {
 
+// Decoder handler that keeps an owned copy of every frame in `*out`.
+KissDecoder::FrameHandler CollectInto(std::vector<KissFrame>* out) {
+  return [out](std::uint8_t port, KissCommand command, ByteView payload) {
+    out->push_back(KissFrame{port, command, Bytes(payload.begin(), payload.end())});
+  };
+}
+
 class KissRoundTrip : public ::testing::Test {
  protected:
-  KissRoundTrip() : decoder_([this](const KissFrame& f) { frames_.push_back(f); }) {}
+  KissRoundTrip() : decoder_(CollectInto(&frames_)) {}
 
   std::vector<KissFrame> frames_;
   KissDecoder decoder_;
@@ -166,7 +173,7 @@ TEST_F(KissRoundTrip, InvalidEscapeCountsBadEscape) {
 }
 
 TEST_F(KissRoundTrip, OversizeFrameDropped) {
-  KissDecoder small([this](const KissFrame& f) { frames_.push_back(f); }, 16);
+  KissDecoder small(CollectInto(&frames_), 16);
   Bytes big(100, 0xAA);
   small.Feed(KissEncodeData(big));
   EXPECT_TRUE(frames_.empty());
@@ -198,8 +205,8 @@ TEST_F(KissRoundTrip, EmptyPayloadDataFrame) {
 // `chunk` — and checks frames and error counters agree exactly.
 void ExpectChunkedEquivalent(const Bytes& wire, std::size_t chunk) {
   std::vector<KissFrame> by_byte, by_chunk;
-  KissDecoder d1([&](const KissFrame& f) { by_byte.push_back(f); });
-  KissDecoder d2([&](const KissFrame& f) { by_chunk.push_back(f); });
+  KissDecoder d1(CollectInto(&by_byte));
+  KissDecoder d2(CollectInto(&by_chunk));
   for (std::uint8_t b : wire) {
     d1.Feed(b);
   }
@@ -249,7 +256,7 @@ TEST(KissChunkedFeed, InvalidEscapeAbortsAndResyncsInChunks) {
   }
   // And the chunked decoder really recovers the trailing frame.
   std::vector<KissFrame> frames;
-  KissDecoder d([&](const KissFrame& f) { frames.push_back(f); });
+  KissDecoder d(CollectInto(&frames));
   d.Feed(wire.data(), wire.size());
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].payload, Bytes{0x42});
@@ -262,8 +269,8 @@ TEST(KissChunkedFeed, OversizeDiscardAndResyncMatchesBytewise) {
   Bytes good = KissEncodeData(Bytes{7, 8});
   wire.insert(wire.end(), good.begin(), good.end());
   std::vector<KissFrame> by_byte, by_chunk;
-  KissDecoder d1([&](const KissFrame& f) { by_byte.push_back(f); }, 16);
-  KissDecoder d2([&](const KissFrame& f) { by_chunk.push_back(f); }, 16);
+  KissDecoder d1(CollectInto(&by_byte), 16);
+  KissDecoder d2(CollectInto(&by_chunk), 16);
   for (std::uint8_t b : wire) {
     d1.Feed(b);
   }
@@ -282,7 +289,7 @@ TEST(KissChunkedFeed, FrameExactlyAtMaxSizeSurvivesChunked) {
   Bytes over_cap(16, 0x22); // 1 + 16 = 17 > cap
   for (bool chunked : {false, true}) {
     std::vector<KissFrame> frames;
-    KissDecoder d([&](const KissFrame& f) { frames.push_back(f); }, 16);
+    KissDecoder d(CollectInto(&frames), 16);
     Bytes wire = KissEncodeData(at_cap);
     Bytes wire2 = KissEncodeData(over_cap);
     wire.insert(wire.end(), wire2.begin(), wire2.end());

@@ -139,11 +139,11 @@ TEST(Ipv4HeaderTest, RejectsBadVersionAndLengths) {
 class FakeInterface : public NetInterface {
  public:
   FakeInterface(std::string name, std::size_t mtu) : NetInterface(std::move(name), mtu) {}
-  void Output(const Bytes& dgram, IpV4Address next_hop) override {
-    sent.push_back({dgram, next_hop});
+  void Output(PacketBuf&& dgram, IpV4Address next_hop) override {
+    sent.push_back({dgram.Release(), next_hop});
   }
   // Expose for tests.
-  void Inject(const Bytes& dgram) { DeliverToStack(dgram); }
+  void Inject(const Bytes& dgram) { DeliverToStack(PacketBuf::FromBytes(dgram)); }
   struct Out {
     Bytes dgram;
     IpV4Address next_hop;
@@ -205,7 +205,8 @@ class NetStackTest : public ::testing::Test {
 };
 
 TEST_F(NetStackTest, SendsViaDirectRoute) {
-  EXPECT_TRUE(stack_.SendDatagram(IpV4Address(10, 0, 0, 2), 99, BytesFromString("hi")));
+  EXPECT_TRUE(stack_.SendDatagram(IpV4Address(10, 0, 0, 2), 99,
+                                 PacketBuf::FromBytes(BytesFromString("hi"))));
   ASSERT_EQ(iface_->sent.size(), 1u);
   EXPECT_EQ(iface_->sent[0].next_hop, IpV4Address(10, 0, 0, 2));
   auto p = Ipv4Header::Decode(iface_->sent[0].dgram);
@@ -215,13 +216,13 @@ TEST_F(NetStackTest, SendsViaDirectRoute) {
 }
 
 TEST_F(NetStackTest, NoRouteFails) {
-  EXPECT_FALSE(stack_.SendDatagram(IpV4Address(99, 0, 0, 1), 99, Bytes{}));
+  EXPECT_FALSE(stack_.SendDatagram(IpV4Address(99, 0, 0, 1), 99, PacketBuf()));
   EXPECT_EQ(stack_.ip_stats().no_route, 1u);
 }
 
 TEST_F(NetStackTest, GatewayRouteUsesGatewayAsNextHop) {
   stack_.routes().AddDefault(IpV4Address(10, 0, 0, 254), iface_);
-  EXPECT_TRUE(stack_.SendDatagram(IpV4Address(8, 8, 8, 8), 99, Bytes{}));
+  EXPECT_TRUE(stack_.SendDatagram(IpV4Address(8, 8, 8, 8), 99, PacketBuf()));
   ASSERT_EQ(iface_->sent.size(), 1u);
   EXPECT_EQ(iface_->sent[0].next_hop, IpV4Address(10, 0, 0, 254));
 }
@@ -249,7 +250,7 @@ TEST_F(NetStackTest, InputQueueBounded) {
   h.destination = IpV4Address(10, 0, 0, 1);
   Bytes dgram = h.Encode(Bytes{});
   for (int i = 0; i < 10; ++i) {
-    stack_.EnqueueFromDriver(dgram, iface_);
+    stack_.EnqueueFromDriver(PacketBuf::FromBytes(dgram), iface_);
   }
   EXPECT_EQ(stack_.ip_stats().input_drops, 7u);
   sim_.RunAll();
@@ -329,7 +330,7 @@ TEST_F(NetStackTest, FragmentsWhenExceedingMtu) {
   small->Configure(IpV4Address(30, 0, 0, 1), 24);
   auto* out = static_cast<FakeInterface*>(stack_.AddInterface(std::move(small)));
   Bytes payload(600, 0x77);
-  EXPECT_TRUE(stack_.SendDatagram(IpV4Address(30, 0, 0, 2), 99, payload));
+  EXPECT_TRUE(stack_.SendDatagram(IpV4Address(30, 0, 0, 2), 99, PacketBuf::FromBytes(payload)));
   ASSERT_EQ(out->sent.size(), 3u);  // 600 bytes over 236-byte chunks
   std::size_t total = 0;
   for (auto& s : out->sent) {
@@ -398,7 +399,8 @@ TEST_F(NetStackTest, LocalLoopback) {
   stack_.RegisterProtocol(99, [&](const Ipv4Header& h, ByteView p, NetInterface*) {
     got.assign(p.begin(), p.end());
   });
-  EXPECT_TRUE(stack_.SendDatagram(IpV4Address(10, 0, 0, 1), 99, BytesFromString("me")));
+  EXPECT_TRUE(stack_.SendDatagram(IpV4Address(10, 0, 0, 1), 99,
+                                 PacketBuf::FromBytes(BytesFromString("me"))));
   sim_.RunAll();
   EXPECT_EQ(got, BytesFromString("me"));
   EXPECT_TRUE(iface_->sent.empty());

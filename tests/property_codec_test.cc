@@ -18,6 +18,13 @@
 namespace upr {
 namespace {
 
+// Decoder handler that keeps an owned copy of every frame in `*out`.
+KissDecoder::FrameHandler CollectInto(std::vector<KissFrame>* out) {
+  return [out](std::uint8_t port, KissCommand command, ByteView payload) {
+    out->push_back(KissFrame{port, command, Bytes(payload.begin(), payload.end())});
+  };
+}
+
 Bytes RandomBytes(Rng* rng, std::size_t max_len) {
   Bytes out(rng->NextBelow(max_len + 1));
   for (auto& b : out) {
@@ -110,7 +117,7 @@ TEST_P(CodecProperty, KissRoundTripsArbitraryPayloads) {
   for (int iter = 0; iter < 200; ++iter) {
     Bytes payload = RandomBytes(&rng_, 512);
     std::vector<KissFrame> frames;
-    KissDecoder decoder([&](const KissFrame& f) { frames.push_back(f); });
+    KissDecoder decoder(CollectInto(&frames));
     decoder.Feed(KissEncodeData(payload, static_cast<std::uint8_t>(rng_.NextBelow(15))));
     ASSERT_EQ(frames.size(), 1u);
     EXPECT_EQ(frames[0].payload, payload);
@@ -118,14 +125,14 @@ TEST_P(CodecProperty, KissRoundTripsArbitraryPayloads) {
 }
 
 TEST_P(CodecProperty, KissDecoderSurvivesGarbageStreams) {
-  KissDecoder decoder([](const KissFrame&) {});
+  KissDecoder decoder([](std::uint8_t, KissCommand, ByteView) {});
   for (int iter = 0; iter < 50; ++iter) {
     decoder.Feed(RandomBytes(&rng_, 1024));
   }
   // Still functional afterwards: resync on FEND and decode a clean frame.
   decoder.Feed(Bytes{kKissFend});
   std::vector<KissFrame> frames;
-  KissDecoder fresh([&](const KissFrame& f) { frames.push_back(f); });
+  KissDecoder fresh(CollectInto(&frames));
   fresh.Feed(KissEncodeData(Bytes{1, 2, 3}));
   EXPECT_EQ(frames.size(), 1u);
 }

@@ -19,9 +19,9 @@ namespace {
 class PipeInterface : public NetInterface {
  public:
   PipeInterface(std::string name, std::size_t mtu) : NetInterface(std::move(name), mtu) {}
-  void Output(const Bytes& dgram, IpV4Address next_hop) override {
+  void Output(PacketBuf&& dgram, IpV4Address next_hop) override {
     if (peer_ != nullptr) {
-      peer_->DeliverToStack(dgram);
+      peer_->DeliverToStack(std::move(dgram));
     }
   }
   void set_peer(PipeInterface* peer) { peer_ = peer; }
@@ -66,7 +66,7 @@ TEST_P(FragmentationProperty, FragmentReassembleIdentity) {
     }
     got.clear();
     deliveries = 0;
-    ASSERT_TRUE(a.SendDatagram(IpV4Address(10, 0, 0, 2), 99, payload));
+    ASSERT_TRUE(a.SendDatagram(IpV4Address(10, 0, 0, 2), 99, PacketBuf::FromBytes(payload)));
     sim.RunAll();
     ASSERT_EQ(deliveries, 1) << "len=" << len << " mtu=" << mtu;
     EXPECT_EQ(got, payload) << "len=" << len << " mtu=" << mtu;

@@ -154,7 +154,8 @@ TEST_F(TwoGatewayFixture, RedirectFromWrongSourceIgnored) {
   orig.destination = IpV4Address(44, 24, 0, 10);
   w.WriteBytes(orig.Encode(Bytes{}));
   // Deliver as if from the east gateway (not the host's first hop for 44/8).
-  east_gw_->stack().SendDatagram(host_->ip(), kIpProtoIcmp, msg.Encode());
+  east_gw_->stack().SendDatagram(host_->ip(), kIpProtoIcmp,
+                                 PacketBuf::FromBytes(msg.Encode()));
   sim_.RunUntil(sim_.Now() + Seconds(10));
   EXPECT_EQ(host_->stack().routes().size(), routes_before);
   EXPECT_EQ(host_->stack().icmp().redirects_accepted(), 0u);
@@ -175,7 +176,7 @@ TEST_F(TwoGatewayFixture, GatewaysIgnoreRedirects) {
   orig.destination = IpV4Address(44, 56, 0, 5);
   w.WriteBytes(orig.Encode(Bytes{}));
   east_gw_->stack().SendDatagram(west_gw_->config().ether_ip, kIpProtoIcmp,
-                                 msg.Encode());
+                                 PacketBuf::FromBytes(msg.Encode()));
   sim_.RunUntil(sim_.Now() + Seconds(10));
   EXPECT_EQ(west_gw_->stack().routes().size(), before);
 }

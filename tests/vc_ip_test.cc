@@ -107,8 +107,8 @@ TEST_F(VcPair, BackToBackDatagramsResplitCorrectly) {
     (count++ == 0 ? got1 : got2).assign(p.begin(), p.end());
   });
   Bytes p1(180, 0x11), p2(150, 0x22);
-  a_->stack->SendDatagram(IpV4Address(44, 24, 11, 2), 99, p1);
-  a_->stack->SendDatagram(IpV4Address(44, 24, 11, 2), 99, p2);
+  a_->stack->SendDatagram(IpV4Address(44, 24, 11, 2), 99, PacketBuf::FromBytes(p1));
+  a_->stack->SendDatagram(IpV4Address(44, 24, 11, 2), 99, PacketBuf::FromBytes(p2));
   sim_.RunUntil(Seconds(120));
   EXPECT_EQ(count, 2);
   EXPECT_EQ(got1, p1);
@@ -144,7 +144,7 @@ TEST_F(VcPair, LinkLayerArqAbsorbsLoss) {
 
 TEST_F(VcPair, UnmappedNextHopCountsError) {
   Build(0.0);
-  a_->stack->SendDatagram(IpV4Address(44, 24, 11, 99), 99, Bytes{1});
+  a_->stack->SendDatagram(IpV4Address(44, 24, 11, 99), 99, PacketBuf::FromBytes(Bytes{1}));
   // Routed via vc0 (direct subnet) but no callsign mapping exists.
   EXPECT_GE(a_->vc->stats().oerrors, 1u);
 }

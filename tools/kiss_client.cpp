@@ -171,7 +171,9 @@ class KissStation {
         mycall_(mycall),
         peer_(peer),
         verbose_(verbose),
-        decoder_([this](const KissFrame& f) { OnKissFrame(f); }) {}
+        decoder_([this](std::uint8_t, KissCommand command, ByteView payload) {
+          OnKissFrame(command, payload);
+        }) {}
 
   void SendCommand(KissCommand cmd, std::uint8_t value) {
     KissFrame f;
@@ -207,11 +209,11 @@ class KissStation {
   }
 
  private:
-  void OnKissFrame(const KissFrame& f) {
-    if (f.command != KissCommand::kData) {
+  void OnKissFrame(KissCommand command, ByteView payload) {
+    if (command != KissCommand::kData) {
       return;
     }
-    auto frame = Ax25Frame::Decode(f.payload, Ax25Modulus::kMod8);
+    auto frame = Ax25Frame::Decode(Bytes(payload.begin(), payload.end()), Ax25Modulus::kMod8);
     if (!frame) {
       return;
     }
