@@ -24,8 +24,6 @@ void TrunkLink::Wire(TrunkLink* a, TrunkLink* b) {
                 b->name().c_str());
   a->peer_ = b;
   b->peer_ = a;
-  a->shards_->EnsureLane(a->shard_, b->shard_);
-  a->shards_->EnsureLane(b->shard_, a->shard_);
 }
 
 SimTime TrunkLink::TransmitTime(std::size_t bytes) const {
@@ -59,7 +57,7 @@ void TrunkLink::Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {
   ++stats_.opackets;
   stats_.obytes += data.size();
   // The local completion event frees a queue slot when the last bit departs;
-  // the delivery crosses shards through the handoff lane.
+  // the delivery crosses shards as a ShardSet handoff.
   sim->ScheduleAt(busy_until_, [this] {
     UPR_INVARIANT(inflight_ > 0, "trunk %s: inflight underflow",
                   name_.c_str());

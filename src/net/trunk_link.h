@@ -10,8 +10,8 @@
 // trunks are exactly the conservative-DES channel boundary — the only way
 // state leaves a shard.
 //
-// Both ends must be wired with Wire(), which also registers the handoff
-// lanes in both directions while the topology is still single-threaded.
+// Both ends must be wired with Wire() while the topology is still
+// single-threaded.
 #ifndef SRC_NET_TRUNK_LINK_H_
 #define SRC_NET_TRUNK_LINK_H_
 
@@ -42,8 +42,7 @@ class TrunkLink : public NetInterface {
   TrunkLink(std::string name, ShardSet* shards, std::size_t shard,
             TrunkConfig config = {});
 
-  // Connects the two ends and registers both handoff lanes. Topology build
-  // time only.
+  // Connects the two ends. Topology build time only.
   static void Wire(TrunkLink* a, TrunkLink* b);
 
   std::size_t shard_index() const { return shard_; }

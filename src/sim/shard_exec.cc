@@ -27,12 +27,8 @@ ShardSet::ShardSet(const Config& config)
   }
   current_ = shards_[0];
   if (config_.mode == Mode::kParallel) {
-    src_pending_.reset(new std::atomic<std::uint64_t>[shard_count_]);
-    for (std::size_t k = 0; k < shard_count_; ++k) {
-      src_pending_[k].store(0, std::memory_order_relaxed);
-    }
-    lanes_by_src_.resize(shard_count_);
-    inject_bufs_.resize(shard_count_);
+    outbox_.resize(shard_count_);
+    posted_.resize(shard_count_);
   }
 }
 
@@ -55,38 +51,26 @@ Simulator* ShardSet::shard(std::size_t k) {
   return shards_[k];
 }
 
-void ShardSet::EnsureLane(std::size_t src, std::size_t dst) {
-  if (config_.mode != Mode::kParallel || src == dst) {
-    return;
-  }
-  UPR_INVARIANT(workers_.empty(),
-                "EnsureLane(%zu,%zu) after workers started — lanes are "
-                "topology-time only",
-                src, dst);
-  const std::uint64_t key = LaneKey(src, dst);
-  if (lanes_.find(key) != lanes_.end()) {
-    return;
-  }
-  auto lane = std::make_unique<Lane>(config_.ring_capacity);
-  lane->dst = dst;
-  lanes_by_src_[src].push_back(lane.get());
-  lanes_.emplace(key, std::move(lane));
-}
-
 void ShardSet::Post(std::size_t src, std::size_t dst, SimTime when,
                     std::function<void()> fn) {
   UPR_INVARIANT(src < shard_count_ && dst < shard_count_,
                 "Post shard out of range (%zu -> %zu, %zu shards)", src, dst,
                 shard_count_);
-  if (config_.mode != Mode::kParallel || src == dst) {
-    // Serial modes (and a self-post) schedule straight into the destination
-    // queue with the same timestamp the parallel path would use — this is
-    // what keeps the three modes trace-equivalent.
+  if (config_.mode != Mode::kParallel) {
+    // Serial modes schedule straight into the destination queue with the
+    // same timestamp the parallel path would use — this is what keeps the
+    // three modes trace-equivalent.
     ++serial_posted_;
     shards_[dst]->ScheduleAt(when, std::move(fn));
     if (config_.mode == Mode::kSharded) {
       merge_heap_.push({when, dst});
     }
+    return;
+  }
+  // Runs on the worker that owns src: posted_[src] is that worker's alone.
+  ++posted_[src];
+  if (src == dst) {
+    shards_[dst]->ScheduleAt(when, std::move(fn));
     return;
   }
   Simulator* src_sim = shards_[src];
@@ -96,71 +80,16 @@ void ShardSet::Post(std::size_t src, std::size_t dst, SimTime when,
                 static_cast<long long>(when),
                 static_cast<long long>(config_.lookahead),
                 static_cast<long long>(src_sim->Now()));
-  auto it = lanes_.find(LaneKey(src, dst));
-  UPR_INVARIANT(it != lanes_.end(),
-                "cross-shard post %zu -> %zu without an EnsureLane at "
-                "topology build time",
-                src, dst);
-  Lane& ln = *it->second;
-  Handoff h;
-  h.when = when;
-  h.seq = ln.next_seq++;
-  h.src = src;
-  h.fn = std::move(fn);
-  ++ln.posted;
-  if (!ln.ring.TryPush(h)) {
-    ++ln.overflowed;
-    std::lock_guard<std::mutex> lk(ln.overflow_mu);
-    ln.overflow.push_back(std::move(h));
-  }
-  src_pending_[src].fetch_add(1, std::memory_order_release);
+  outbox_[src].push_back({when, dst, std::move(fn)});
 }
 
-void ShardSet::DrainLanes() {
-  if (config_.mode != Mode::kParallel) {
-    return;
-  }
-  bool any = false;
-  for (std::size_t src = 0; src < shard_count_; ++src) {
-    if (src_pending_[src].exchange(0, std::memory_order_acquire) == 0) {
-      continue;
-    }
-    any = true;
-    for (Lane* ln : lanes_by_src_[src]) {
-      std::vector<Handoff>& bucket = inject_bufs_[ln->dst];
-      Handoff h;
-      while (ln->ring.TryPop(&h)) {
-        bucket.push_back(std::move(h));
-      }
-      std::lock_guard<std::mutex> lk(ln->overflow_mu);
-      for (Handoff& o : ln->overflow) {
-        bucket.push_back(std::move(o));
-      }
-      ln->overflow.clear();
-    }
-  }
-  if (!any) {
-    return;
-  }
-  for (std::size_t dst = 0; dst < shard_count_; ++dst) {
-    std::vector<Handoff>& bucket = inject_bufs_[dst];
-    if (bucket.empty()) {
-      continue;
-    }
-    // (when, src, seq) is a total order over handoffs: seq is per-(src,dst)
-    // FIFO, so two runs with different thread interleavings inject — and
-    // therefore execute — in exactly the same order.
-    std::sort(bucket.begin(), bucket.end(),
-              [](const Handoff& a, const Handoff& b) {
-                if (a.when != b.when) return a.when < b.when;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-    for (Handoff& h : bucket) {
-      shards_[dst]->ScheduleAt(h.when, std::move(h.fn));
+void ShardSet::DrainOutboxes() {
+  for (std::vector<Handoff>& outbox : outbox_) {
+    for (Handoff& h : outbox) {
+      shards_[h.dst]->ScheduleAt(h.when, std::move(h.fn));
       ++stats_injected_;
     }
-    bucket.clear();
+    outbox.clear();
   }
 }
 
@@ -268,7 +197,7 @@ std::size_t ShardSet::RunParallel(SimTime deadline) {
   StartWorkers();
   std::size_t total = 0;
   for (;;) {
-    DrainLanes();
+    DrainOutboxes();
     bool any = false;
     SimTime next = 0;
     for (std::size_t k = 0; k < shard_count_; ++k) {
@@ -292,7 +221,7 @@ std::size_t ShardSet::RunParallel(SimTime deadline) {
     total += window_executed_;
     ++stats_windows_;
   }
-  DrainLanes();
+  DrainOutboxes();
   for (std::size_t k = 0; k < shard_count_; ++k) {
     shards_[k]->RunUntil(deadline);
   }
@@ -327,10 +256,8 @@ ShardStats ShardSet::stats() const {
   s.injected = stats_injected_;
   s.windows = stats_windows_;
   s.merge_steps = stats_merge_steps_;
-  for (const auto& [key, ln] : lanes_) {
-    (void)key;
-    s.posted += ln->posted;
-    s.ring_overflow += ln->overflowed;
+  for (std::uint64_t n : posted_) {
+    s.posted += n;
   }
   return s;
 }

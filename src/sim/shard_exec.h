@@ -17,21 +17,21 @@
 //   * kParallel — conservative parallel DES: the coordinator computes a
 //     window [next, next + lookahead), worker threads run their shards'
 //     events inside the window concurrently, and handoffs — which the
-//     lookahead guarantees land strictly beyond the window — are injected
-//     at the barrier, sorted by (when, src shard, ring seq) so execution is
-//     deterministic for a fixed seed and any thread count.
+//     lookahead guarantees land strictly beyond the window — wait in a
+//     plain per-source outbox and are injected at the barrier in (src
+//     shard, post order), so execution is deterministic for a fixed seed and
+//     any thread count.
 //
 // Lookahead comes from the topology: the minimum over all cross-shard links
 // of (propagation delay + one serial byte time); a handoff posted at time t
 // may not be scheduled before t + lookahead, and Post() enforces that with
-// an invariant. Handoffs ride per-(src,dst) SPSC rings (spsc_ring.h),
-// registered at topology build time via EnsureLane; a full ring falls back
-// to a mutex-guarded overflow list, and the barrier merge re-sorts by
-// sequence number so the cold path cannot reorder anything.
+// an invariant. An outbox needs no lock: only the worker running its source
+// shard appends to it during a window, and only the coordinator drains it,
+// at the barrier, while every worker is parked; the barrier mutex orders
+// the two.
 #ifndef SRC_SIM_SHARD_EXEC_H_
 #define SRC_SIM_SHARD_EXEC_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -40,18 +40,16 @@
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
-#include "src/sim/spsc_ring.h"
 
 namespace upr {
 
 struct ShardStats {
   std::uint64_t posted = 0;         // cross-shard handoffs posted
-  std::uint64_t ring_overflow = 0;  // handoffs that took the cold mutex path
+  std::uint64_t ring_overflow = 0;  // always 0: outboxes are unbounded
   std::uint64_t injected = 0;       // handoffs injected at barriers
   std::uint64_t windows = 0;        // parallel windows executed
   std::uint64_t merge_steps = 0;    // events run by the kSharded merge loop
@@ -69,8 +67,6 @@ class ShardSet {
     // Conservative lookahead (ns). Post() rejects handoffs closer than this.
     // Ignored in kUnified, where every "handoff" is a same-queue insert.
     SimTime lookahead = 1;
-    // Per-(src,dst) SPSC ring capacity in entries.
-    std::size_t ring_capacity = 256;
   };
 
   explicit ShardSet(const Config& config);
@@ -96,15 +92,11 @@ class ShardSet {
   Simulator* current_sim() const { return current_; }
   SimTime CurrentTime() const { return current_->Now(); }
 
-  // Registers the (src,dst) handoff lane. Topology build time only (before
-  // workers start); a kParallel Post without a registered lane is an
-  // invariant failure. No-op in the serial modes and for src == dst.
-  void EnsureLane(std::size_t src, std::size_t dst);
-
   // Schedules `fn` on shard `dst` at absolute sim time `when`. Must be
   // called from an event executing on shard `src`. In kParallel mode `when`
-  // must be at least the source clock plus the lookahead (invariant-checked);
-  // the serial modes schedule directly and keep the same timestamps.
+  // must be at least the source clock plus the lookahead (invariant-checked)
+  // and the handoff waits in src's outbox until the next barrier; the serial
+  // modes and a self-post schedule directly and keep the same timestamps.
   void Post(std::size_t src, std::size_t dst, SimTime when,
             std::function<void()> fn);
 
@@ -133,37 +125,20 @@ class ShardSet {
  private:
   struct Handoff {
     SimTime when = 0;
-    std::uint64_t seq = 0;  // per-(src,dst) FIFO sequence
-    std::size_t src = 0;
+    std::size_t dst = 0;
     std::function<void()> fn;
   };
-  // One handoff lane per registered (src,dst) pair: the hot SPSC ring plus
-  // the cold overflow list and producer-owned counters (only the worker
-  // running `src` touches next_seq/posted/overflowed).
-  struct Lane {
-    explicit Lane(std::size_t cap) : ring(cap) {}
-    SpscRing<Handoff> ring;
-    std::size_t dst = 0;
-    std::uint64_t next_seq = 0;
-    std::uint64_t posted = 0;
-    std::uint64_t overflowed = 0;
-    std::mutex overflow_mu;
-    std::vector<Handoff> overflow;
-  };
-
-  static std::uint64_t LaneKey(std::size_t src, std::size_t dst) {
-    return (static_cast<std::uint64_t>(src) << 32) |
-           static_cast<std::uint64_t>(dst);
-  }
 
   std::size_t RunUnified(SimTime deadline);
   std::size_t RunShardedMerge(SimTime deadline);
   std::size_t RunParallel(SimTime deadline);
 
-  // Barrier-time drain: moves every pending handoff into its destination
-  // simulator, in (when, src, seq) order. Runs on the coordinator with all
-  // workers parked.
-  void DrainLanes();
+  // Barrier-time drain: moves every outbox entry into its destination
+  // simulator, sources in index order, each outbox in post order. Runs on
+  // the coordinator with all workers parked. The event heap breaks
+  // same-instant ties by scheduling order, so same-instant handoffs run in
+  // (src, post order) on every thread count.
+  void DrainOutboxes();
 
   // Parallel worker machinery.
   void StartWorkers();
@@ -177,12 +152,11 @@ class ShardSet {
   std::function<void(std::size_t)> enter_hook_;
   Simulator* current_ = nullptr;
 
-  // Handoff lanes (kParallel). The map's structure is frozen once workers
-  // start; per-src dirty counters let the barrier skip untouched rows.
-  std::unordered_map<std::uint64_t, std::unique_ptr<Lane>> lanes_;
-  std::vector<std::vector<Lane*>> lanes_by_src_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> src_pending_;
-  std::vector<std::vector<Handoff>> inject_bufs_;  // per-dst barrier scratch
+  // kParallel handoffs, indexed by source shard. outbox_[s] and posted_[s]
+  // are written only by the worker running s (or the coordinator at a
+  // barrier), and the barrier mutex orders the two.
+  std::vector<std::vector<Handoff>> outbox_;
+  std::vector<std::uint64_t> posted_;
 
   // kSharded merge state: lazy min-heap of (next event time, shard).
   using MergeEntry = std::pair<SimTime, std::size_t>;
@@ -191,7 +165,7 @@ class ShardSet {
       merge_heap_;
 
   // Counters. serial_posted_/injected/windows/merge_steps are touched only
-  // by the coordinating thread; per-lane counters only by their producer.
+  // by the coordinating thread; posted_ only by each source's worker.
   std::uint64_t serial_posted_ = 0;
   std::uint64_t stats_injected_ = 0;
   std::uint64_t stats_windows_ = 0;

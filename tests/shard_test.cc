@@ -1,108 +1,19 @@
-// Tests for the sharded executor (ISSUE 8): the SPSC handoff ring, and the
-// three ShardSet execution modes producing identical per-shard event
-// schedules for the same seeded workload.
+// Tests for the sharded executor: the three ShardSet execution modes
+// producing identical per-shard event schedules for the same seeded
+// workload, and the parallel executor's handoff order and accounting.
 #include <gtest/gtest.h>
 
 #include <cstdarg>
 #include <cstdio>
+#include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/sim/shard_exec.h"
 #include "src/sim/simulator.h"
-#include "src/sim/spsc_ring.h"
 
 namespace upr {
 namespace {
-
-// ---------------------------------------------------------------------------
-// SpscRing
-
-TEST(SpscRing, PushPopFifo) {
-  SpscRing<int> ring(8);
-  for (int i = 0; i < 5; ++i) {
-    int v = i * 10;
-    EXPECT_TRUE(ring.TryPush(v));
-  }
-  EXPECT_EQ(ring.SizeApprox(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    int out = -1;
-    ASSERT_TRUE(ring.TryPop(&out));
-    EXPECT_EQ(out, i * 10);
-  }
-  int out = -1;
-  EXPECT_FALSE(ring.TryPop(&out));
-  EXPECT_EQ(ring.SizeApprox(), 0u);
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo) {
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(2).capacity(), 2u);
-  EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscRing<int>(5).capacity(), 8u);
-  EXPECT_EQ(SpscRing<int>(256).capacity(), 256u);
-}
-
-TEST(SpscRing, FullRingRejectsAndValueStaysWithCaller) {
-  SpscRing<std::string> ring(4);
-  for (int i = 0; i < 4; ++i) {
-    std::string v = "v" + std::to_string(i);
-    ASSERT_TRUE(ring.TryPush(v));
-  }
-  std::string extra = "overflow";
-  EXPECT_FALSE(ring.TryPush(extra));
-  EXPECT_EQ(extra, "overflow");  // untouched on failure
-  std::string out;
-  ASSERT_TRUE(ring.TryPop(&out));
-  EXPECT_EQ(out, "v0");
-  EXPECT_TRUE(ring.TryPush(extra));  // slot freed
-}
-
-TEST(SpscRing, IndexWrapKeepsFifoOrder) {
-  SpscRing<int> ring(4);
-  int expect = 0;
-  for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 3; ++i) {
-      int v = round * 3 + i;
-      ASSERT_TRUE(ring.TryPush(v));
-    }
-    for (int i = 0; i < 3; ++i) {
-      int out = -1;
-      ASSERT_TRUE(ring.TryPop(&out));
-      ASSERT_EQ(out, expect++);
-    }
-  }
-}
-
-// One producer thread, one consumer thread, values must arrive in order.
-// (This is the exact pairing the executor uses; the TSan CI lane watches it.)
-TEST(SpscRing, ConcurrentProducerConsumer) {
-  SpscRing<std::uint64_t> ring(64);
-  constexpr std::uint64_t kCount = 100'000;
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 0; i < kCount;) {
-      std::uint64_t v = i;
-      if (ring.TryPush(v)) {
-        ++i;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  std::uint64_t next = 0;
-  while (next < kCount) {
-    std::uint64_t out = 0;
-    if (ring.TryPop(&out)) {
-      ASSERT_EQ(out, next);
-      ++next;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  EXPECT_EQ(ring.SizeApprox(), 0u);
-}
 
 // ---------------------------------------------------------------------------
 // ShardSet
@@ -142,7 +53,6 @@ TEST(ShardSet, ShardedMergeRunsInGlobalTimeOrder) {
 
 TEST(ShardSet, CrossShardPostArrivesAtRequestedTime) {
   ShardSet set({.shards = 2, .mode = ShardSet::Mode::kSharded, .lookahead = 50});
-  set.EnsureLane(0, 1);
   SimTime arrival = 0;
   set.shard(0)->ScheduleAt(100, [&] {
     set.Post(0, 1, set.shard(0)->Now() + 50,
@@ -169,14 +79,8 @@ class SyntheticWorkload {
       : set_({.shards = kShards,
               .mode = mode,
               .threads = threads,
-              .lookahead = kLookahead,
-              .ring_capacity = 1}),  // tiny (rounds to 2): forces overflow
+              .lookahead = kLookahead}),
         logs_(kShards) {
-    for (std::size_t a = 0; a < kShards; ++a) {
-      for (std::size_t b = 0; b < kShards; ++b) {
-        if (a != b) set_.EnsureLane(a, b);
-      }
-    }
     for (std::size_t s = 0; s < kShards; ++s) {
       ScheduleStep(s, /*step=*/0, /*when=*/100 + 10 * s + s);
     }
@@ -197,8 +101,7 @@ class SyntheticWorkload {
              static_cast<unsigned long long>(sim->Now()));
       if (step % 3 == 1) {
         const std::size_t dst = (s + 1) % kShards;
-        // A burst of four: more than the tiny ring holds, so some ride the
-        // cold overflow list. The +5 offset keeps handoff residues disjoint
+        // A burst of four. The +5 offset keeps handoff residues disjoint
         // from local residues; burst members stay 10 apart so no two events
         // on the destination shard ever share a timestamp.
         for (int burst = 0; burst < 4; ++burst) {
@@ -260,9 +163,6 @@ TEST(ShardSet, AllModesProduceIdenticalPerShardSchedules) {
   EXPECT_EQ(p4.posted, serial.posted);
   EXPECT_EQ(p4.injected, p4.posted);
   EXPECT_GT(p4.windows, 0u);
-  // ring_capacity 8 with bursts of handoffs: the cold path must have fired
-  // at least once, proving the overflow list preserves order too.
-  EXPECT_GT(p4.ring_overflow, 0u);
 }
 
 TEST(ShardSet, ParallelRunsAreRepeatable) {
@@ -272,6 +172,65 @@ TEST(ShardSet, ParallelRunsAreRepeatable) {
   b.Run();
   EXPECT_EQ(a.logs(), b.logs());
   EXPECT_EQ(a.executed(), b.executed());
+}
+
+// Same-instant handoffs to one shard, posted inside one window, run in
+// (source index, post order) whatever the thread count: the barrier drains
+// the outboxes in source order and the destination heap breaks ties by
+// scheduling order. Shard 2 posts first (twice), shard 1 posts later. (The
+// serial modes schedule at post time, so there the two bursts would run in
+// post order instead; the synthetic workload above avoids such ties.)
+TEST(ShardSet, SameInstantHandoffsRunInSourceThenPostOrder) {
+  for (int threads = 1; threads <= 4; ++threads) {
+    ShardSet set({.shards = 4,
+                  .mode = ShardSet::Mode::kParallel,
+                  .threads = threads,
+                  .lookahead = 1000});
+    constexpr SimTime kArrive = 5000;
+    std::vector<std::string> order;
+    auto post = [&](std::size_t src, const char* tag) {
+      set.Post(src, 0, kArrive, [&order, tag] { order.push_back(tag); });
+    };
+    set.shard(2)->ScheduleAt(100, [&] {
+      post(2, "from2.0");
+      post(2, "from2.1");
+    });
+    set.shard(1)->ScheduleAt(200, [&] { post(1, "from1.0"); });
+    set.RunUntil(10'000);
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"from1.0", "from2.0", "from2.1"}))
+        << threads << " threads";
+    EXPECT_EQ(set.stats().posted, 3u);
+    EXPECT_EQ(set.stats().injected, 3u);
+  }
+}
+
+// A self-post in kParallel schedules directly and counts against the
+// source's own posted count. Two shards on two workers self-post at once,
+// so a shared counter here is a data race the TSan lane reports.
+TEST(ShardSet, ParallelSelfPostsCountPerSource) {
+  constexpr SimTime kLookahead = 1'000'000;
+  constexpr int kPosts = 2000;
+  ShardSet set({.shards = 2,
+                .mode = ShardSet::Mode::kParallel,
+                .threads = 2,
+                .lookahead = kLookahead});
+  std::vector<int> ran(2, 0);
+  std::function<void(std::size_t, int)> chain = [&](std::size_t s, int n) {
+    ++ran[s];
+    if (n + 1 < kPosts) {
+      set.Post(s, s, set.shard(s)->Now() + 10,
+               [&chain, s, n] { chain(s, n + 1); });
+    }
+  };
+  for (std::size_t s = 0; s < 2; ++s) {
+    set.shard(s)->ScheduleAt(100, [&chain, s] { chain(s, 0); });
+  }
+  set.RunUntil(kLookahead * 10);
+  EXPECT_EQ(ran, (std::vector<int>{kPosts, kPosts}));
+  const ShardStats st = set.stats();
+  EXPECT_EQ(st.posted, 2u * (kPosts - 1));
+  EXPECT_EQ(st.injected, 0u);
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #
 # Job 4: TSan build of the parallel-DES executor surface — the sharded/
 #        parallel tests, the city determinism gates, and a bench_city smoke —
-#        so data races in the handoff rings and worker barriers fail CI
+#        so data races in the handoff outboxes and worker barriers fail CI
 #        instead of corrupting a seeded run once in a thousand.
 #
 # Job 5: fuzz smoke — -DUPR_FUZZ=ON build (libFuzzer under clang, the
