@@ -74,8 +74,7 @@ void TrunkLink::RxDeliver(Bytes&& ip_datagram) {
     ++stats_.ierrors;
     return;
   }
-  ++stats_.ipackets;
-  stats_.ibytes += ip_datagram.size();
+  // The stack counts ipackets/ibytes, as it does for every interface.
   DeliverToStack(PacketBuf::Adopt(std::move(ip_datagram)));
 }
 

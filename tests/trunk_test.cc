@@ -109,6 +109,9 @@ TEST_F(TrunkTest, DeliversByteIdenticalAtDepartPlusLatency) {
   EXPECT_EQ(received_[0].at, kStart + 66'667 + config_.latency);
   EXPECT_EQ(a_if_->stats().opackets, 1u);
   EXPECT_EQ(a_if_->stats().obytes, 25u);
+  // Counted once, by the receiving stack.
+  EXPECT_EQ(b_if_->stats().ipackets, 1u);
+  EXPECT_EQ(b_if_->stats().ibytes, 25u);
   EXPECT_EQ(b_->ip_stats().delivered, 1u);
   EXPECT_EQ(shards_->stats().posted, 1u);
 }
