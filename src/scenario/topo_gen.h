@@ -17,8 +17,7 @@
 // RadioChannel, stations, digipeaters, gateway stack — runs on
 // ShardSet::shard(c); the only cross-shard edges are the trunks, whose
 // latency therefore lower-bounds the conservative lookahead. The generator
-// derives lookahead = min trunk latency and wires the handoff lanes for
-// exactly the trunk pairs that exist.
+// derives lookahead = min trunk latency.
 //
 // Traffic: every station runs a seeded periodic ICMP ping driver — most
 // ping their local gateway, every fourth station pings a station on another

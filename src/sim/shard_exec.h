@@ -165,7 +165,7 @@ class ShardSet {
       merge_heap_;
 
   // Counters. serial_posted_/injected/windows/merge_steps are touched only
-  // by the coordinating thread; posted_ only by each source's worker.
+  // by the coordinating thread.
   std::uint64_t serial_posted_ = 0;
   std::uint64_t stats_injected_ = 0;
   std::uint64_t stats_windows_ = 0;
