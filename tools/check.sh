@@ -191,7 +191,9 @@ run_replay_smoke() {
 # bytes on the wire. The ping pair must match exactly, timestamps included.
 # The TCP pair is payload-identical but silo batching legitimately shifts
 # delivery timing by up to the silo alarm (~24 ms measured), so it gets
-# --time-tol 100 — a payload or ordering change still fails.
+# --time-tol 100 — a payload or ordering change still fails. The silo run
+# is also pinned exactly (--time-tol 0) to tests/golden/tcp_silo16_seed7.pcapng,
+# so a silo timing shift under that tolerance cannot pass unseen either.
 run_ab_smoke() {
   builddir=$1
   abdir="$builddir/ab-smoke"
@@ -203,11 +205,13 @@ run_ab_smoke() {
         scenario="--pcs 2 --hosts 1 --digis 1 --workload ping --seed 7 \
           --duration 900"
         tol="0"
+        golden=""
         ;;
       tcp)
         scenario="--pcs 1 --hosts 1 --workload tcp --rate 2400 --seed 7 \
           --duration 1200"
         tol="100"
+        golden="tests/golden/tcp_silo16_seed7.pcapng"
         ;;
     esac
     for mode in perbyte silo; do
@@ -233,6 +237,17 @@ run_ab_smoke() {
       exit 1
     fi
     echo "A/B smoke: $case_name silo == per-byte (time-tol ${tol}ms)"
+    if [ -n "$golden" ]; then
+      if ! "$builddir/tools/tracediff" --time-tol 0 \
+          "$golden" "$abdir/$case_name-silo.pcapng" \
+          >"$abdir/$case_name-golden.tracediff.txt" 2>&1; then
+        cat "$abdir/$case_name-golden.tracediff.txt" >&2
+        echo "FAIL: A/B smoke: $case_name silo trace differs from the pinned" \
+          "capture $golden (see above)" >&2
+        exit 1
+      fi
+      echo "A/B smoke: $case_name silo == $golden (byte-identical)"
+    fi
   done
 }
 
