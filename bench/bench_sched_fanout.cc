@@ -83,7 +83,8 @@ double TimeSerialFanout(std::size_t n, std::uint64_t rounds, std::uint64_t* byte
   std::vector<std::unique_ptr<SerialLine>> lines;
   for (std::size_t i = 0; i < n; ++i) {
     lines.push_back(std::make_unique<SerialLine>(&sim, 9600));
-    lines.back()->b().set_receive_handler([&delivered](std::uint8_t) { ++delivered; });
+    lines.back()->b().set_receive_chunk_handler(
+        [&delivered](const std::uint8_t*, std::size_t len) { delivered += len; });
   }
   const Bytes frame(kFrameBytes, 0x55);
   auto t0 = std::chrono::steady_clock::now();

@@ -23,22 +23,27 @@ namespace {
 // A dumb terminal that prints everything the TNC says.
 struct Terminal {
   Terminal(Simulator* sim, const char* who) : line(sim, 1200), name(who) {
-    line.a().set_receive_handler([this](std::uint8_t b) {
-      if (b == '\r') {
-        return;
-      }
-      if (b == '\n') {
-        std::printf("  [%s] %s\n", name, pending.c_str());
-        pending.clear();
-      } else {
-        pending.push_back(static_cast<char>(b));
-        // Prompts have no newline; flush them when they look complete.
-        if (pending == "cmd: ") {
-          std::printf("  [%s] %s\n", name, pending.c_str());
-          pending.clear();
-        }
+    line.a().set_receive_chunk_handler([this](const std::uint8_t* data, std::size_t len) {
+      for (std::size_t i = 0; i < len; ++i) {
+        Show(data[i]);
       }
     });
+  }
+  void Show(std::uint8_t b) {
+    if (b == '\r') {
+      return;
+    }
+    if (b == '\n') {
+      std::printf("  [%s] %s\n", name, pending.c_str());
+      pending.clear();
+    } else {
+      pending.push_back(static_cast<char>(b));
+      // Prompts have no newline; flush them when they look complete.
+      if (pending == "cmd: ") {
+        std::printf("  [%s] %s\n", name, pending.c_str());
+        pending.clear();
+      }
+    }
   }
   void Type(const std::string& text) { line.a().Write(BytesFromString(text + "\r\n")); }
   SerialLine line;

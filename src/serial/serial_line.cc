@@ -1,5 +1,6 @@
 #include "src/serial/serial_line.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/trace/trace.h"
@@ -8,7 +9,12 @@
 namespace upr {
 
 SerialLine::SerialLine(Simulator* sim, SerialLineConfig config)
-    : sim_(sim), config_(config) {
+    : sim_(sim),
+      config_(config),
+      // A silo of depth 0 flushes every byte, as one of depth 1 does.
+      depth_(config.mode == SerialLineConfig::Mode::kSilo
+                 ? std::max<std::size_t>(config.silo_depth, 1)
+                 : 1) {
   a_.line_ = this;
   a_.peer_ = &b_;
   b_.line_ = this;
@@ -44,70 +50,48 @@ void SerialEndpoint::DeliverChunk(const std::uint8_t* data, std::size_t len) {
   }
   if (on_bytes_) {
     on_bytes_(data, len);
-    return;
-  }
-  if (on_byte_) {
-    for (std::size_t i = 0; i < len; ++i) {
-      on_byte_(data[i]);
-    }
   }
 }
 
 void SerialEndpoint::ScheduleHead() {
-  const PendingByte& head = in_flight_[in_flight_head_];
-  line_->sim_->ScheduleReserved(head.when, head.seq, [this] { DeliverHead(); });
+  std::size_t last = in_flight_head_;
+  while (!in_flight_[last].ends_delivery) {
+    ++last;
+  }
+  head_id_ = line_->sim_->ScheduleReserved(in_flight_[last].when, in_flight_[last].seq,
+                                           [this] { DeliverHead(); });
 }
 
 void SerialEndpoint::DeliverHead() {
-  std::uint8_t b = in_flight_[in_flight_head_++].byte;
-  --backlog_;
+  // The chunk goes to the receiver from storage that a Write() it makes
+  // cannot move: a local for a one-byte delivery (every per-byte one),
+  // landing_ otherwise.
+  std::uint8_t one = in_flight_[in_flight_head_].byte;
+  ByteView chunk(&one, 1);
+  if (in_flight_[in_flight_head_].ends_delivery) {
+    ++in_flight_head_;
+  } else {
+    landing_.clear();
+    do {
+      landing_.push_back(in_flight_[in_flight_head_].byte);
+    } while (!in_flight_[in_flight_head_++].ends_delivery);
+    chunk = landing_;
+  }
+  backlog_ -= chunk.size();
   // Next head first: a receive handler that writes back onto this direction
   // must find the FIFO's head already in the heap.
   if (in_flight_head_ != in_flight_.size()) {
     ScheduleHead();
   } else {
+    if (open_ != 0) {
+      ++events_scheduled_;  // the silo alarm fired
+      open_ = 0;
+    }
     // Drained: free the burst's storage, so an idle line holds none.
     in_flight_ = {};
     in_flight_head_ = 0;
   }
-  peer_->DeliverChunk(&b, 1);
-}
-
-void SerialEndpoint::FlushSilo(SimTime when) {
-  if (silo_alarm_armed_) {
-    line_->sim_->Cancel(silo_alarm_id_);
-    silo_alarm_armed_ = false;
-  }
-  if (silo_.empty()) {
-    return;
-  }
-  SerialEndpoint* dst = peer_;
-  ++events_scheduled_;
-  line_->sim_->ScheduleAt(when, [this, dst, chunk = std::move(silo_)] {
-    backlog_ -= chunk.size();
-    dst->DeliverChunk(chunk.data(), chunk.size());
-  });
-  silo_.clear();
-}
-
-void SerialEndpoint::ArmSiloAlarm() {
-  if (silo_alarm_armed_) {
-    line_->sim_->Cancel(silo_alarm_id_);
-  }
-  silo_alarm_armed_ = true;
-  SimTime when = busy_until_ + line_->config_.silo_timeout;
-  SerialEndpoint* dst = peer_;
-  silo_alarm_id_ = line_->sim_->ScheduleAt(when, [this, dst] {
-    silo_alarm_armed_ = false;
-    if (silo_.empty()) {
-      return;
-    }
-    Bytes chunk = std::move(silo_);
-    silo_.clear();
-    ++events_scheduled_;
-    backlog_ -= chunk.size();
-    dst->DeliverChunk(chunk.data(), chunk.size());
-  });
+  peer_->DeliverChunk(chunk.data(), chunk.size());
 }
 
 void SerialEndpoint::Write(ByteView bytes) {
@@ -124,55 +108,63 @@ void SerialEndpoint::Write(ByteView bytes) {
     tx_epoch_ = sim->Now();
     tx_bytes_since_epoch_ = 0;
   }
-  if (cfg.mode == SerialLineConfig::Mode::kPerByte) {
-    if (in_flight_.empty()) {
-      in_flight_.reserve(bytes.size());  // one allocation per idle-line burst
-    } else if (2 * in_flight_head_ >= in_flight_.size()) {
-      // A line that never drains: drop the delivered half. Each compaction
-      // moves no more bytes than were delivered since the last, so O(1) per
-      // byte.
-      in_flight_.erase(in_flight_.begin(),
-                       in_flight_.begin() + static_cast<std::ptrdiff_t>(in_flight_head_));
-      in_flight_head_ = 0;
-    }
+  if (in_flight_.empty()) {
+    in_flight_.reserve(bytes.size());  // one allocation per idle-line burst
+  } else if (2 * in_flight_head_ >= in_flight_.size()) {
+    // A line that never drains: drop the delivered half. Each compaction
+    // moves no more bytes than were delivered since the last, so O(1) per
+    // byte.
+    in_flight_.erase(in_flight_.begin(),
+                     in_flight_.begin() + static_cast<std::ptrdiff_t>(in_flight_head_));
+    in_flight_head_ = 0;
   }
-  std::uint64_t dropped = 0;
-  for (std::uint8_t b : bytes) {
-    if (cfg.max_backlog != 0 && backlog_ >= cfg.max_backlog) {
-      // FIFO full: the DZ would overrun; drop with a stat, don't buffer
-      // without bound.
-      ++dropped;
-      continue;
-    }
+  const bool idle = in_flight_head_ == in_flight_.size();
+  // Only an open head changes its key below, so only then is its heap entry
+  // stale.
+  const bool rekey_head = open_ != 0 && open_ == in_flight_.size() - in_flight_head_;
+  // FIFO full: the DZ would overrun; the bytes past the cap drop with a
+  // stat instead of buffering without bound.
+  const std::size_t n = std::min<std::uint64_t>(bytes.size(), tx_room());
+  if (n != bytes.size()) {
+    ++overruns_;
+    bytes_dropped_ += bytes.size() - n;
+  }
+  bytes_sent_ += n;
+  backlog_ += n;
+  const std::size_t depth = line_->depth_;
+  for (std::uint8_t b : bytes.first(n)) {
     ++tx_bytes_since_epoch_;
     busy_until_ = tx_epoch_ + line_->transfer_time(tx_bytes_since_epoch_);
-    ++bytes_sent_;
-    ++backlog_;
-    if (cfg.mode == SerialLineConfig::Mode::kPerByte) {
-      // The byte takes its seq now, as a ScheduleAt() here would, so it runs
-      // in the same place; land times never decrease within a direction, so
-      // the FIFO's head is always its earliest byte.
-      ++events_scheduled_;
-      const bool idle = in_flight_head_ == in_flight_.size();
-      UPR_INVARIANT(idle || busy_until_ >= in_flight_.back().when,
-                    "%s: byte lands before the byte queued ahead of it", name_.c_str());
-      in_flight_.push_back({busy_until_, sim->ReserveSeq(), b});
-      if (idle) {
-        ScheduleHead();
-      }
+    if (open_ != 0) {
+      // The open silo's key moves to its new last byte.
+      in_flight_.back().ends_delivery = false;
     } else {
-      silo_.push_back(b);
-      if (silo_.size() >= cfg.silo_depth) {
-        FlushSilo(busy_until_);
-      }
+      // Land times never decrease within a direction, so the FIFO's head is
+      // always its earliest delivery.
+      UPR_INVARIANT(in_flight_head_ == in_flight_.size() ||
+                        busy_until_ >= in_flight_.back().when,
+                    "%s: byte lands before the delivery queued ahead of it",
+                    name_.c_str());
+    }
+    in_flight_.push_back({busy_until_, 0, b, true});
+    if (++open_ == depth) {
+      // A full silo takes its seq now, as a ScheduleAt() here would, so it
+      // runs in the same place.
+      open_ = 0;
+      ++events_scheduled_;
+      in_flight_.back().seq = sim->ReserveSeq();
     }
   }
-  if (cfg.mode == SerialLineConfig::Mode::kSilo && !silo_.empty()) {
-    ArmSiloAlarm();
+  if (open_ != 0) {
+    // (Re)arm the silo alarm: the partial silo's new key.
+    in_flight_.back().when = busy_until_ + cfg.silo_timeout;
+    in_flight_.back().seq = sim->ReserveSeq();
   }
-  if (dropped != 0) {
-    ++overruns_;
-    bytes_dropped_ += dropped;
+  if (rekey_head) {
+    sim->Cancel(head_id_);
+  }
+  if ((idle || rekey_head) && in_flight_head_ != in_flight_.size()) {
+    ScheduleHead();
   }
 }
 

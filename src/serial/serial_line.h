@@ -1,24 +1,24 @@
 // Full-duplex RS-232 serial line between the host's DZ port and the TNC
 // (figure 1 of the paper). Bytes move at the configured baud rate, 10 bits
-// per byte (8N1 framing). Two delivery disciplines are supported:
+// per byte (8N1 framing).
 //
-//  * kPerByte (default, paper fidelity): each byte is a separate delivery
-//    event — one receive interrupt per character, which is exactly how the
-//    paper's driver ingests packets ("For each character in the packet, the
-//    tty driver calls the packet radio interrupt handler", §2.2). It is not
-//    one heap entry per character: a direction's in-flight bytes wait in its
-//    own FIFO, each under the (land time, seq) key it took at Write(), and
-//    only the head byte sits in the Simulator heap. A byte's event runs
-//    exactly where a heap entry of its own would have run (DESIGN.md §8).
+// A direction hands its bytes to the far end in deliveries: each delivery
+// is one receive interrupt carrying a run of bytes. kSilo is the DH-style
+// silo the paper's §Performance points at as the cure for per-character
+// overhead: a run closes when `silo_depth` bytes fill it, or `silo_timeout`
+// after the line goes quiet (the DZ-11 silo alarm). kPerByte, the paper's
+// driver ("For each character in the packet, the tty driver calls the packet
+// radio interrupt handler", §2.2), is the same mechanism with a silo one
+// byte deep.
 //
-//  * kSilo: the DH-style silo/DMA discipline the paper's §Performance points
-//    at as the cure for per-character overhead. Bytes accumulate in a
-//    hardware silo of `silo_depth` characters; one delivery event fires when
-//    the silo fills, or `silo_timeout` after the line goes quiet (the DZ-11
-//    silo alarm). Receivers that install a chunk handler get the whole batch
-//    in one callback — one interrupt per silo-full instead of per character.
+// A direction's deliveries wait in its own FIFO, each under the (when, seq)
+// key a ScheduleAt() of its own would have taken, and only the head sits in
+// the Simulator heap. A full silo takes its key when it fills; the open
+// partial silo is re-keyed at every Write(), as re-arming the silo alarm
+// would. Every delivery runs exactly where a heap entry of its own would
+// have run (DESIGN.md §8).
 //
-// Either way the byte stream, its ordering and its wire timing are
+// In either mode the byte stream, its ordering and its wire timing are
 // identical; only the number of delivery events (interrupts) changes.
 #ifndef SRC_SERIAL_SERIAL_LINE_H_
 #define SRC_SERIAL_SERIAL_LINE_H_
@@ -58,16 +58,10 @@ struct SerialLineConfig {
 // One end of the line. Obtain via SerialLine::a()/b().
 class SerialEndpoint {
  public:
-  using ByteHandler = std::function<void(std::uint8_t)>;
   using ChunkHandler = std::function<void(const std::uint8_t* data, std::size_t len)>;
 
-  // Handler runs once per received byte, at the byte's delivery time.
-  void set_receive_handler(ByteHandler h) { on_byte_ = std::move(h); }
-  // Chunk handler runs once per delivery event with every byte it carried
-  // (size 1 in per-byte mode, up to silo_depth in silo mode). When set it
-  // takes precedence over the per-byte handler; when only the per-byte
-  // handler is set, chunks are unrolled into per-byte calls so existing
-  // consumers work under either mode.
+  // Runs once per delivery event with every byte it carried (size 1 in
+  // per-byte mode, up to silo_depth in silo mode).
   void set_receive_chunk_handler(ChunkHandler h) { on_bytes_ = std::move(h); }
 
   // Queues bytes for transmission to the far end. Never blocks; the line
@@ -109,28 +103,25 @@ class SerialEndpoint {
  private:
   friend class SerialLine;
 
-  // Per-byte mode: a byte on the wire, keyed as if it had its own event.
+  // A byte on the wire. A delivery is a run of them, and its last byte
+  // holds the key the delivery's own ScheduleAt() would have taken.
   struct PendingByte {
-    SimTime when;       // land time at the peer
-    std::uint64_t seq;  // reserved from the Simulator at Write()
+    SimTime when;       // land time (+ silo_timeout for an open silo's key)
+    std::uint64_t seq;  // reserved from the Simulator on a delivery's last byte
     std::uint8_t byte;
+    bool ends_delivery;
   };
 
   // Hands a landed chunk to the receive side of *this* endpoint.
   void DeliverChunk(const std::uint8_t* data, std::size_t len);
-  // Per-byte mode: puts the FIFO's head byte in the heap under its reserved
-  // key, and lands it at the peer when it runs.
+  // Puts the FIFO's head delivery in the heap under its key, and lands it at
+  // the peer when it runs.
   void ScheduleHead();
   void DeliverHead();
-  // Schedules delivery of the accumulated silo to the peer at `when`.
-  void FlushSilo(SimTime when);
-  // (Re)arms the silo-alarm flush for a partially-filled silo.
-  void ArmSiloAlarm();
 
   SerialLine* line_ = nullptr;
   SerialEndpoint* peer_ = nullptr;
   std::string name_;
-  ByteHandler on_byte_;
   ChunkHandler on_bytes_;
   SimTime busy_until_ = 0;  // when this direction's last queued byte lands
   // Byte-accurate clock for this direction: bytes sent since `tx_epoch_`.
@@ -139,15 +130,18 @@ class SerialEndpoint {
   // per-byte truncation drift.
   SimTime tx_epoch_ = 0;
   std::uint64_t tx_bytes_since_epoch_ = 0;
-  // Per-byte mode: bytes on the wire, in land order, from in_flight_head_
-  // on; only the head has a heap entry. Storage is freed when the line
-  // drains and the delivered prefix compacted at Write() when it does not.
+  // Bytes on the wire, in land order, from in_flight_head_ on; only the
+  // head delivery has a heap entry (head_id_). Storage is freed when the
+  // line drains and the delivered prefix compacted at Write() when it does
+  // not.
   std::vector<PendingByte> in_flight_;
   std::size_t in_flight_head_ = 0;
-  // Silo mode: bytes on the wire not yet bundled into a delivery event.
-  Bytes silo_;
-  std::uint64_t silo_alarm_id_ = 0;
-  bool silo_alarm_armed_ = false;
+  std::uint64_t head_id_ = 0;
+  // Bytes in the partial silo still taking bytes at the FIFO's tail.
+  std::size_t open_ = 0;
+  // A multi-byte chunk being handed to the peer, out of reach of a Write()
+  // the receive handler makes.
+  Bytes landing_;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t bytes_received_ = 0;
   std::uint64_t backlog_ = 0;
@@ -180,6 +174,7 @@ class SerialLine {
 
   Simulator* sim_;
   SerialLineConfig config_;
+  std::size_t depth_;  // bytes that fill a delivery: 1 in per-byte mode
   SerialEndpoint a_;
   SerialEndpoint b_;
 };

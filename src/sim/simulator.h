@@ -82,8 +82,8 @@ class Simulator {
   // ScheduleReserved(). The event then runs exactly where ScheduleAt() would
   // have put it at reservation time: after every same-instant event
   // scheduled before the reservation, before every one scheduled after it.
-  // A serial line reserves one seq per byte at Write() and keeps only its
-  // head byte in the heap (see SerialEndpoint).
+  // A serial line reserves one seq per delivery and keeps only its head
+  // delivery in the heap (see SerialEndpoint).
   std::uint64_t ReserveSeq() { return next_seq_++; }
   std::uint64_t ScheduleReserved(SimTime when, std::uint64_t seq, std::function<void()> fn);
 
@@ -113,8 +113,8 @@ class Simulator {
     *when = heap_.front().when;
     return true;
   }
-  // Heap entries. A busy serial line holds one entry for its head byte; the
-  // bytes queued behind it are counted by SerialEndpoint::backlog().
+  // Heap entries. A busy serial line holds one entry for its head delivery;
+  // the bytes queued behind it are counted by SerialEndpoint::backlog().
   std::size_t pending_events() const { return heap_.size(); }
   std::size_t executed_events() const { return executed_; }
   // Total events ever scheduled (the interrupt-rate analogue: every serial

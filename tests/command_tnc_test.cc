@@ -15,8 +15,8 @@ namespace {
 struct Terminal {
   explicit Terminal(Simulator* sim, std::uint32_t baud = 9600)
       : line(sim, baud) {
-    line.a().set_receive_handler([this](std::uint8_t b) {
-      screen.push_back(static_cast<char>(b));
+    line.a().set_receive_chunk_handler([this](const std::uint8_t* data, std::size_t len) {
+      screen.append(reinterpret_cast<const char*>(data), len);
     });
   }
   void Type(const std::string& text) { line.a().Write(BytesFromString(text)); }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -17,11 +18,20 @@ SimTime LandTime(std::uint64_t n, std::uint32_t baud) {
       static_cast<double>(n) * 10.0 / baud * static_cast<double>(kSecond)));
 }
 
+// Calls `fn` once per received byte, however the line batches them.
+void OnEachByte(SerialEndpoint& ep, std::function<void(std::uint8_t)> fn) {
+  ep.set_receive_chunk_handler([fn = std::move(fn)](const std::uint8_t* d, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      fn(d[i]);
+    }
+  });
+}
+
 TEST(SerialLineTest, DeliversBytesInOrder) {
   Simulator sim;
   SerialLine line(&sim, 9600);
   Bytes got;
-  line.b().set_receive_handler([&](std::uint8_t b) { got.push_back(b); });
+  OnEachByte(line.b(), [&](std::uint8_t b) { got.push_back(b); });
   line.a().Write(Bytes{1, 2, 3, 4});
   sim.RunAll();
   EXPECT_EQ(got, (Bytes{1, 2, 3, 4}));
@@ -33,7 +43,7 @@ TEST(SerialLineTest, ByteTimingMatchesBaudRate) {
   // 10 bits per byte at 9600 baud, rounded to the nearest nanosecond.
   EXPECT_EQ(line.byte_time(), LandTime(1, 9600));
   std::vector<SimTime> arrivals;
-  line.b().set_receive_handler([&](std::uint8_t) { arrivals.push_back(sim.Now()); });
+  OnEachByte(line.b(), [&](std::uint8_t) { arrivals.push_back(sim.Now()); });
   line.a().Write(Bytes{0, 0, 0});
   sim.RunAll();
   ASSERT_EQ(arrivals.size(), 3u);
@@ -51,7 +61,7 @@ TEST(SerialLineTest, NonDivisorBaudRateDoesNotDrift) {
   Simulator sim;
   SerialLine line(&sim, 9600);
   SimTime last = 0;
-  line.b().set_receive_handler([&](std::uint8_t) { last = sim.Now(); });
+  OnEachByte(line.b(), [&](std::uint8_t) { last = sim.Now(); });
   line.a().Write(Bytes(9600, 0x55));
   sim.RunAll();
   EXPECT_EQ(last, Seconds(10));
@@ -61,7 +71,7 @@ TEST(SerialLineTest, BacklogSerializesBursts) {
   Simulator sim;
   SerialLine line(&sim, 1200);
   int received = 0;
-  line.b().set_receive_handler([&](std::uint8_t) { ++received; });
+  OnEachByte(line.b(), [&](std::uint8_t) { ++received; });
   line.a().Write(Bytes(120, 0x55));  // one second of data at 1200 baud
   EXPECT_EQ(line.a().backlog(), 120u);
   sim.RunUntil(Milliseconds(500));
@@ -75,8 +85,8 @@ TEST(SerialLineTest, FullDuplexDirectionsIndependent) {
   Simulator sim;
   SerialLine line(&sim, 9600);
   int a_got = 0, b_got = 0;
-  line.a().set_receive_handler([&](std::uint8_t) { ++a_got; });
-  line.b().set_receive_handler([&](std::uint8_t) { ++b_got; });
+  OnEachByte(line.a(), [&](std::uint8_t) { ++a_got; });
+  OnEachByte(line.b(), [&](std::uint8_t) { ++b_got; });
   line.a().Write(Bytes(10, 1));
   line.b().Write(Bytes(10, 2));
   sim.RunAll();
@@ -90,7 +100,7 @@ TEST(SerialLineTest, LaterWritesQueueBehindEarlier) {
   Simulator sim;
   SerialLine line(&sim, 9600);
   std::vector<std::uint8_t> got;
-  line.b().set_receive_handler([&](std::uint8_t b) { got.push_back(b); });
+  OnEachByte(line.b(), [&](std::uint8_t b) { got.push_back(b); });
   line.a().Write(Bytes{1});
   line.a().Write(Bytes{2});
   sim.RunAll();
@@ -108,9 +118,14 @@ TEST(SerialLineTest, LaterWritesQueueBehindEarlier) {
 // Event log shared by a line's receiver and probe events.
 struct OrderLog {
   std::vector<std::string> events;
+  // Logs each delivery as the line's name and its bytes ("a1", "a1234").
   void Receive(SerialEndpoint& ep, const char* line) {
-    ep.set_receive_handler([this, line](std::uint8_t b) {
-      events.push_back(line + std::to_string(b));
+    ep.set_receive_chunk_handler([this, line](const std::uint8_t* d, std::size_t n) {
+      std::string event = line;
+      for (std::size_t i = 0; i < n; ++i) {
+        event += std::to_string(d[i]);
+      }
+      events.push_back(event);
     });
   }
   void Probe(Simulator& sim, SimTime when, std::string name) {
@@ -171,7 +186,7 @@ TEST(SerialOrderTest, LineThatNeverDrainsKeepsOrderAndTiming) {
   SerialLine line(&sim, 9600);
   Bytes got;
   std::vector<SimTime> arrivals;
-  line.b().set_receive_handler([&](std::uint8_t b) {
+  OnEachByte(line.b(), [&](std::uint8_t b) {
     got.push_back(b);
     arrivals.push_back(sim.Now());
   });
@@ -199,7 +214,7 @@ TEST(SerialOrderTest, BurstHoldsOneHeapEntryAndOneSeqPerByte) {
   Simulator sim;
   SerialLine line(&sim, 1200);
   std::size_t received = 0;
-  line.b().set_receive_handler([&](std::uint8_t) { ++received; });
+  OnEachByte(line.b(), [&](std::uint8_t) { ++received; });
   line.a().Write(Bytes(100000, 0));
   EXPECT_EQ(sim.pending_events(), 1u);
   EXPECT_EQ(line.a().backlog(), 100000u);
@@ -292,17 +307,6 @@ TEST(SerialSiloTest, NewBytesExtendArmedAlarm) {
   EXPECT_EQ(sizes, (std::vector<std::size_t>{8}));
 }
 
-TEST(SerialSiloTest, ByteHandlerStillWorksInSiloMode) {
-  Simulator sim;
-  SerialLine line(&sim, SiloConfig(9600, 16));
-  Bytes got;
-  line.b().set_receive_handler([&](std::uint8_t b) { got.push_back(b); });
-  Bytes sent{1, 2, 3, 4, 5, 6, 7, 8};
-  line.a().Write(sent);
-  sim.RunAll();
-  EXPECT_EQ(got, sent);
-}
-
 TEST(SerialSiloTest, SameByteStreamAsPerByteModeWithFewerEvents) {
   // The acceptance criterion: the silo path must deliver a byte-identical
   // stream with >= 3x fewer delivery events than per-byte mode.
@@ -336,6 +340,69 @@ TEST(SerialSiloTest, SameByteStreamAsPerByteModeWithFewerEvents) {
   EXPECT_LE(sim_silo.events_scheduled() * 3, sim_pb.events_scheduled());
 }
 
+// --- Silo run order -----------------------------------------------------------
+//
+// A silo is a delivery like a per-byte line's byte: a full silo keeps the key
+// it took when it filled, the open partial silo the key of the last Write()
+// that touched it, and only the head delivery sits in the heap.
+
+TEST(SerialSiloOrderTest, FullSiloRunsWhereItsFillWouldHaveScheduledIt) {
+  Simulator sim;
+  SerialLine line(&sim, SiloConfig(9600, 4));
+  OrderLog log;
+  log.Receive(line.b(), "a");
+  // The line is already busy, so the second silo queues behind the first.
+  line.a().Write(Bytes{1, 2, 3, 4});
+  log.Probe(sim, LandTime(8, 9600), "before");
+  line.a().Write(Bytes{5, 6, 7, 8});
+  log.Probe(sim, LandTime(8, 9600), "after");
+  sim.RunAll();
+  EXPECT_EQ(log.events,
+            (std::vector<std::string>{"a1234", "before", "a5678", "after"}));
+}
+
+TEST(SerialSiloOrderTest, ExtendingAPartialSiloRekeysIt) {
+  Simulator sim;
+  SerialLine line(&sim, SiloConfig(9600, 16, Milliseconds(5)));
+  OrderLog log;
+  log.Receive(line.b(), "a");
+  line.a().Write(Bytes{1, 2});
+  // Where the extended silo will land, scheduled before the Write that
+  // moves it there.
+  log.Probe(sim, LandTime(4, 9600) + Milliseconds(5), "probe");
+  line.a().Write(Bytes{3, 4});
+  sim.RunAll();
+  EXPECT_EQ(log.events, (std::vector<std::string>{"probe", "a1234"}));
+}
+
+TEST(SerialSiloOrderTest, BurstHoldsOneHeapEntryAndOneSeqPerSilo) {
+  Simulator sim;
+  SerialLine line(&sim, SiloConfig(1200, 16));
+  std::size_t received = 0;
+  line.b().set_receive_chunk_handler(
+      [&](const std::uint8_t*, std::size_t n) { received += n; });
+  line.a().Write(Bytes(100000, 0));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.events_scheduled(), 6250u);
+  sim.RunAll();
+  EXPECT_EQ(received, 100000u);
+  EXPECT_EQ(sim.events_scheduled(), 6250u);
+  EXPECT_EQ(sim.executed_events(), 6250u);
+  EXPECT_LE(sim.pool_capacity(), 2u);
+}
+
+TEST(SerialSiloOrderTest, DepthZeroDeliversByteByByte) {
+  Simulator sim;
+  SerialLine line(&sim, SiloConfig(9600, 0, Milliseconds(5)));
+  OrderLog log;
+  log.Receive(line.b(), "a");
+  line.a().Write(Bytes{1, 2, 3});
+  sim.RunAll();
+  EXPECT_EQ(log.events, (std::vector<std::string>{"a1", "a2", "a3"}));
+  EXPECT_EQ(line.a().events_scheduled(), 3u);
+  EXPECT_EQ(sim.events_scheduled(), 3u);
+}
+
 // --- Bounded transmit FIFO ---------------------------------------------------
 
 TEST(SerialBacklogCapTest, OverflowDropsWithStatInsteadOfBuffering) {
@@ -345,7 +412,7 @@ TEST(SerialBacklogCapTest, OverflowDropsWithStatInsteadOfBuffering) {
   cfg.max_backlog = 100;
   SerialLine line(&sim, cfg);
   int received = 0;
-  line.b().set_receive_handler([&](std::uint8_t) { ++received; });
+  OnEachByte(line.b(), [&](std::uint8_t) { ++received; });
   line.a().Write(Bytes(250, 0x77));
   // FIFO capped at 100: 150 bytes dropped, one overrun event recorded.
   EXPECT_EQ(line.a().backlog(), 100u);

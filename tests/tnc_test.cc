@@ -22,7 +22,8 @@ struct Station {
             frames.emplace_back(payload.begin(), payload.end());
           }
         }) {
-    serial.a().set_receive_handler([this](std::uint8_t b) { decoder.Feed(b); });
+    serial.a().set_receive_chunk_handler(
+        [this](const std::uint8_t* data, std::size_t len) { decoder.Feed(data, len); });
   }
 
   void SendAx25(const Ax25Frame& f) { serial.a().Write(KissEncodeData(f.Encode())); }
