@@ -363,8 +363,7 @@ std::optional<Ax25Frame::DecodedView> Ax25Frame::DecodeView(
   return out;
 }
 
-std::optional<Ax25Frame> Ax25Frame::Decode(const Bytes& wire,
-                                           Ax25Modulus modulus) {
+std::optional<Ax25Frame> Ax25Frame::Decode(ByteView wire, Ax25Modulus modulus) {
   std::optional<DecodedView> v = DecodeView(wire, modulus);
   if (!v) {
     return std::nullopt;

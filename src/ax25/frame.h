@@ -191,7 +191,7 @@ struct Ax25Frame {
 
   Bytes Encode() const;
   static std::optional<Ax25Frame> Decode(
-      const Bytes& wire, Ax25Modulus modulus = Ax25Modulus::kMod8);
+      ByteView wire, Ax25Modulus modulus = Ax25Modulus::kMod8);
 
   struct DecodedView;
   // As Decode, but the info field stays a non-owning view into `wire`

@@ -21,18 +21,12 @@ Digipeater::Digipeater(Simulator* sim, RadioChannel* channel, Ax25Address callsi
 void Digipeater::OnReceive(const Bytes& wire, bool corrupted) {
   ++frames_heard_;
   // FCS check: corrupted frames fail; also verify the trailing CRC.
-  if (corrupted || wire.size() < 2) {
+  std::optional<ByteView> body = corrupted ? std::nullopt : CheckFcs(wire);
+  if (!body) {
     ++frames_dropped_;
     return;
   }
-  Bytes body(wire.begin(), wire.end() - 2);
-  std::uint16_t fcs = static_cast<std::uint16_t>(wire[wire.size() - 2] |
-                                                 wire[wire.size() - 1] << 8);
-  if (Crc16Ccitt(body) != fcs) {
-    ++frames_dropped_;
-    return;
-  }
-  auto frame = Ax25Frame::Decode(body);
+  auto frame = Ax25Frame::Decode(*body);
   if (!frame) {
     ++frames_dropped_;
     return;
@@ -46,9 +40,7 @@ void Digipeater::OnReceive(const Bytes& wire, bool corrupted) {
   UPR_TRACE(kTag, "%s repeating %s", callsign_.ToString().c_str(),
             frame->ToString().c_str());
   Bytes out = frame->Encode();
-  std::uint16_t new_fcs = Crc16Ccitt(out);
-  out.push_back(static_cast<std::uint8_t>(new_fcs & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(new_fcs >> 8));
+  AppendFcs(&out);
   mac_->Enqueue(std::move(out));
 }
 

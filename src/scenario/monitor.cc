@@ -74,14 +74,12 @@ void ChannelMonitor::OnFrame(const Bytes& wire, bool corrupted) {
     ++counters_.corrupted;
     line += "<collision/noise " + std::to_string(wire.size()) + " bytes>";
   } else {
-    Bytes body(wire.begin(), wire.end() - 2);
-    std::uint16_t fcs = static_cast<std::uint16_t>(wire[wire.size() - 2] |
-                                                   wire[wire.size() - 1] << 8);
-    if (Crc16Ccitt(body) != fcs) {
+    std::optional<ByteView> body = CheckFcs(wire);
+    if (!body) {
       ++counters_.corrupted;
       line += "<bad FCS " + std::to_string(wire.size()) + " bytes>";
     } else {
-      auto frame = Ax25Frame::Decode(body);
+      auto frame = Ax25Frame::Decode(*body);
       if (!frame) {
         line += "<undecodable frame>";
       } else {

@@ -45,23 +45,7 @@ CommandModeTnc::CommandModeTnc(Simulator* sim, RadioChannel* channel,
       command_lines_([this](const std::string& line) { OnCommandLine(line); }) {
   port_ = channel->CreatePort("tnc2:" + name_);
   mac_ = std::make_unique<CsmaMac>(sim, port_, config_.mac, seed);
-  link_ = std::make_unique<Ax25Link>(
-      sim, config_.mycall,
-      [this](const Ax25Frame& f) {
-        Bytes wire = f.Encode();
-        std::uint16_t fcs = Crc16Ccitt(wire);
-        wire.push_back(static_cast<std::uint8_t>(fcs & 0xFF));
-        wire.push_back(static_cast<std::uint8_t>(fcs >> 8));
-        mac_->Enqueue(std::move(wire));
-      },
-      config_.link);
-  link_->set_accept_handler(
-      [this](const Ax25Address&) { return config_.accept_incoming; });
-  link_->set_connection_handler([this](Ax25Connection* conn) {
-    ToTerminal("*** CONNECTED to " + conn->peer().ToString() + "\r\n");
-    AttachConnection(conn);
-    mode_ = Mode::kConverse;
-  });
+  StartLink();
   // The command interpreter is inherently per-character (echo, Ctrl-C);
   // unroll silo chunks into the byte handler.
   serial_->set_receive_chunk_handler(
@@ -73,6 +57,24 @@ CommandModeTnc::CommandModeTnc(Simulator* sim, RadioChannel* channel,
   port_->set_receive_handler(
       [this](const Bytes& wire, bool corrupted) { OnRadioReceive(wire, corrupted); });
   Prompt();
+}
+
+void CommandModeTnc::StartLink() {
+  link_ = std::make_unique<Ax25Link>(
+      sim_, config_.mycall, [this](const Ax25Frame& f) { Transmit(f); }, config_.link);
+  link_->set_accept_handler(
+      [this](const Ax25Address&) { return config_.accept_incoming; });
+  link_->set_connection_handler([this](Ax25Connection* conn) {
+    ToTerminal("*** CONNECTED to " + conn->peer().ToString() + "\r\n");
+    AttachConnection(conn);
+    mode_ = Mode::kConverse;
+  });
+}
+
+void CommandModeTnc::Transmit(const Ax25Frame& frame) {
+  Bytes wire = frame.Encode();
+  AppendFcs(&wire);
+  mac_->Enqueue(std::move(wire));
 }
 
 bool CommandModeTnc::connected() const {
@@ -135,23 +137,7 @@ void CommandModeTnc::OnCommandLine(const std::string& line) {
       if (call) {
         config_.mycall = *call;
         // Re-home the link on the new address.
-        link_ = std::make_unique<Ax25Link>(
-            sim_, config_.mycall,
-            [this](const Ax25Frame& f) {
-              Bytes wire = f.Encode();
-              std::uint16_t fcs = Crc16Ccitt(wire);
-              wire.push_back(static_cast<std::uint8_t>(fcs & 0xFF));
-              wire.push_back(static_cast<std::uint8_t>(fcs >> 8));
-              mac_->Enqueue(std::move(wire));
-            },
-            config_.link);
-        link_->set_accept_handler(
-            [this](const Ax25Address&) { return config_.accept_incoming; });
-        link_->set_connection_handler([this](Ax25Connection* conn) {
-          ToTerminal("*** CONNECTED to " + conn->peer().ToString() + "\r\n");
-          AttachConnection(conn);
-          mode_ = Mode::kConverse;
-        });
+        StartLink();
         active_ = nullptr;
         ToTerminal("MYCALL set to " + config_.mycall.ToString() + "\r\n");
       } else {
@@ -282,16 +268,11 @@ void CommandModeTnc::OnCommandLine(const std::string& line) {
 }
 
 void CommandModeTnc::OnRadioReceive(const Bytes& wire, bool corrupted) {
-  if (corrupted || wire.size() < 2) {
+  std::optional<ByteView> body = corrupted ? std::nullopt : CheckFcs(wire);
+  if (!body) {
     return;
   }
-  Bytes body(wire.begin(), wire.end() - 2);
-  std::uint16_t fcs = static_cast<std::uint16_t>(wire[wire.size() - 2] |
-                                                 wire[wire.size() - 1] << 8);
-  if (Crc16Ccitt(body) != fcs) {
-    return;
-  }
-  auto frame = Ax25Frame::Decode(body);
+  auto frame = Ax25Frame::Decode(*body);
   if (!frame) {
     return;
   }
@@ -302,7 +283,7 @@ void CommandModeTnc::OnRadioReceive(const Bytes& wire, bool corrupted) {
     return;
   }
   if (frame->destination == config_.mycall) {
-    link_->HandleDecoded(*frame, body);
+    link_->HandleDecoded(*frame, *body);
     return;
   }
   if (config_.monitor && frame->type == Ax25FrameType::kUi) {

@@ -66,6 +66,10 @@ class CommandModeTnc {
   void OnSerialByte(std::uint8_t byte);
   void OnCommandLine(const std::string& line);
   void OnRadioReceive(const Bytes& wire, bool corrupted);
+  // (Re)builds the AX.25 link on config_.mycall.
+  void StartLink();
+  // Puts a frame from the link on the air, FCS appended.
+  void Transmit(const Ax25Frame& frame);
   void AttachConnection(Ax25Connection* conn);
   void ToTerminal(const std::string& text);
   void Prompt();

@@ -63,9 +63,7 @@ void KissTnc::OnKissFrame(KissCommand command, ByteView payload) {
       Bytes wire;
       wire.reserve(payload.size() + 2);
       wire.assign(payload.begin(), payload.end());
-      std::uint16_t fcs = Crc16Ccitt(wire);
-      wire.push_back(static_cast<std::uint8_t>(fcs & 0xFF));
-      wire.push_back(static_cast<std::uint8_t>(fcs >> 8));
+      AppendFcs(&wire);
       mac_->Enqueue(std::move(wire));
       return;
     }
@@ -161,18 +159,13 @@ bool KissTnc::PassesFilter(ByteView ax25_body) const {
 }
 
 void KissTnc::OnRadioReceive(const Bytes& wire, bool corrupted) {
-  if (corrupted || wire.size() < 2) {
-    ++fcs_errors_;
-    return;
-  }
   // The frame is shared by every receiving port: read it through a view.
-  ByteView body(wire.data(), wire.size() - 2);
-  std::uint16_t fcs = static_cast<std::uint16_t>(wire[wire.size() - 2] |
-                                                 wire[wire.size() - 1] << 8);
-  if (Crc16Ccitt(body.data(), body.size()) != fcs) {
+  std::optional<ByteView> checked = corrupted ? std::nullopt : CheckFcs(wire);
+  if (!checked) {
     ++fcs_errors_;
     return;
   }
+  ByteView body = *checked;
   if (!PassesFilter(body)) {
     ++frames_filtered_;
     return;

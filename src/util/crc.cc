@@ -66,6 +66,25 @@ std::uint16_t Crc16Ccitt(const std::uint8_t* data, std::size_t len) {
 
 std::uint16_t Crc16Ccitt(const Bytes& b) { return Crc16Ccitt(b.data(), b.size()); }
 
+void AppendFcs(Bytes* frame) {
+  std::uint16_t fcs = Crc16Ccitt(*frame);
+  frame->push_back(static_cast<std::uint8_t>(fcs & 0xFF));
+  frame->push_back(static_cast<std::uint8_t>(fcs >> 8));
+}
+
+std::optional<ByteView> CheckFcs(ByteView frame) {
+  if (frame.size() < 2) {
+    return std::nullopt;
+  }
+  ByteView body = frame.first(frame.size() - 2);
+  std::uint16_t fcs = static_cast<std::uint16_t>(frame[frame.size() - 2] |
+                                                 frame[frame.size() - 1] << 8);
+  if (Crc16Ccitt(body.data(), body.size()) != fcs) {
+    return std::nullopt;
+  }
+  return body;
+}
+
 std::uint16_t Crc16CcittReference(const std::uint8_t* data, std::size_t len) {
   // Bitwise reflected CRC-16/X-25, one shift/xor per bit — the seed's
   // implementation, now the oracle the sliced version is checked against.

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 
 #include "src/util/byte_buffer.h"
 
@@ -25,6 +26,12 @@ namespace upr {
 // step.
 std::uint16_t Crc16Ccitt(const std::uint8_t* data, std::size_t len);
 std::uint16_t Crc16Ccitt(const Bytes& b);
+
+// HDLC framing of an AX.25 frame: AppendFcs adds the FCS to a frame body,
+// low byte first. CheckFcs returns the body of a frame whose trailing FCS
+// checks, or nullopt when it fails or the frame is shorter than the FCS.
+void AppendFcs(Bytes* frame);
+std::optional<ByteView> CheckFcs(ByteView frame);
 
 // The original table-free bitwise implementation (one shift/xor per bit).
 // Kept as the oracle for the exhaustive cross-check test and the A/B bench;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/util/crc.h"
@@ -29,6 +30,46 @@ TEST(Crc16Test, KnownVectors) {
   EXPECT_EQ(Crc16Ccitt(kCheck, sizeof(kCheck)), 0x906E);
   EXPECT_EQ(Crc16CcittReference(kCheck, sizeof(kCheck)), 0x906E);
   EXPECT_EQ(Crc16Ccitt(nullptr, 0), Crc16CcittReference(nullptr, 0));
+}
+
+// --- HDLC FCS framing ---------------------------------------------------------
+
+TEST(FcsTest, AppendedFcsChecksAndStripsToTheBody) {
+  const Bytes body = BytesFromString("KD7AB>KD7AA:hello");
+  Bytes frame = body;
+  AppendFcs(&frame);
+  ASSERT_EQ(frame.size(), body.size() + 2);
+  const std::uint16_t fcs = Crc16Ccitt(body);
+  EXPECT_EQ(frame[body.size()], fcs & 0xFF);  // low byte first
+  EXPECT_EQ(frame[body.size() + 1], fcs >> 8);
+  std::optional<ByteView> checked = CheckFcs(frame);
+  ASSERT_TRUE(checked.has_value());
+  EXPECT_EQ(Bytes(checked->begin(), checked->end()), body);
+  EXPECT_EQ(checked->data(), frame.data());  // a view into the frame, no copy
+}
+
+TEST(FcsTest, AnyOneFlippedBitFailsTheCheck) {
+  Bytes frame = BytesFromString("KD7AB>KD7AA:hello");
+  AppendFcs(&frame);
+  for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+    Bytes bad = frame;
+    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(CheckFcs(bad).has_value()) << "bit " << bit;
+  }
+}
+
+TEST(FcsTest, FramesShorterThanTheFcsFailAndTwoBytesIsAnEmptyBody) {
+  EXPECT_FALSE(CheckFcs(ByteView()).has_value());
+  EXPECT_FALSE(CheckFcs(Bytes{0x00}).has_value());
+  EXPECT_FALSE(CheckFcs(Bytes{0xFF}).has_value());
+  Bytes empty;
+  AppendFcs(&empty);
+  ASSERT_EQ(empty.size(), 2u);
+  std::optional<ByteView> checked = CheckFcs(empty);
+  ASSERT_TRUE(checked.has_value());
+  EXPECT_TRUE(checked->empty());
+  EXPECT_FALSE(CheckFcs(Bytes{static_cast<std::uint8_t>(empty[0] ^ 1), empty[1]})
+                   .has_value());
 }
 
 TEST(Crc16Test, SlicedMatchesBitwiseForAllSingleBytes) {
