@@ -10,7 +10,7 @@
 
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
-#include "src/driver/vc_ip_interface.h"
+#include "src/scenario/vc_station.h"
 
 using namespace upr;
 using namespace upr::bench;
@@ -51,42 +51,6 @@ X5Result RunUi(double loss, std::uint64_t seed) {
 }
 
 // --- VC mode: two stations with Ax25VcIpInterface ----------------------------
-struct VcStation {
-  std::unique_ptr<NetStack> stack;
-  std::unique_ptr<SerialLine> serial;
-  std::unique_ptr<KissTnc> tnc;
-  PacketRadioInterface* driver = nullptr;
-  Ax25VcIpInterface* vc = nullptr;
-  std::unique_ptr<Tcp> tcp;
-};
-
-std::unique_ptr<VcStation> MakeVcStation(Simulator* sim, RadioChannel* channel,
-                                         const char* name, const char* call,
-                                         IpV4Address ip, std::uint64_t seed,
-                                         const Ax25LinkConfig& lc) {
-  auto st = std::make_unique<VcStation>();
-  st->stack = std::make_unique<NetStack>(sim, name);
-  st->serial = std::make_unique<SerialLine>(sim, 9600);
-  TncConfig tnc_cfg;
-  tnc_cfg.mac.turnaround = 0;
-  tnc_cfg.local_addresses.push_back(*Ax25Address::Parse(call));
-  st->tnc = std::make_unique<KissTnc>(sim, channel, &st->serial->b(), name, tnc_cfg,
-                                      seed * 100 + 1);
-  PacketRadioConfig drv;
-  drv.local_address = *Ax25Address::Parse(call);
-  auto driver =
-      std::make_unique<PacketRadioInterface>(sim, &st->serial->a(), "pr0", drv);
-  st->driver =
-      static_cast<PacketRadioInterface*>(st->stack->AddInterface(std::move(driver)));
-  auto vc = std::make_unique<Ax25VcIpInterface>(sim, st->driver, "vc0", lc);
-  vc->Configure(ip, 24);
-  st->vc = static_cast<Ax25VcIpInterface*>(st->stack->AddInterface(std::move(vc)));
-  TcpConfig tc;
-  tc.max_retries = 60;
-  st->tcp = std::make_unique<Tcp>(st->stack.get(), tc, seed * 100 + 2);
-  return st;
-}
-
 X5Result RunVc(double loss, std::uint64_t seed, Ax25Dialect dialect) {
   Simulator sim;
   RadioChannelConfig rc;
@@ -103,29 +67,38 @@ X5Result RunVc(double loss, std::uint64_t seed, Ax25Dialect dialect) {
     // plus SREJ so one lost frame costs one retransmission.
     lc.window = 32;
   }
-  auto a = MakeVcStation(&sim, &channel, "a", "KD7AA", IpV4Address(44, 24, 11, 1),
-                         seed + 1, lc);
-  auto b = MakeVcStation(&sim, &channel, "b", "KD7AB", IpV4Address(44, 24, 11, 2),
-                         seed + 2, lc);
-  a->vc->MapIpToCallsign(IpV4Address(44, 24, 11, 2), *Ax25Address::Parse("KD7AB"));
-  b->vc->MapIpToCallsign(IpV4Address(44, 24, 11, 1), *Ax25Address::Parse("KD7AA"));
+  auto station = [&](const char* name, const char* call, IpV4Address ip,
+                     std::uint64_t station_seed) {
+    VcStationConfig vc;
+    vc.name = name;
+    vc.callsign = call;
+    vc.ip = ip;
+    vc.link = lc;
+    vc.tcp.max_retries = 60;
+    vc.seed = station_seed;
+    return std::make_unique<VcStation>(&sim, &channel, vc);
+  };
+  auto a = station("a", "KD7AA", IpV4Address(44, 24, 11, 1), seed + 1);
+  auto b = station("b", "KD7AB", IpV4Address(44, 24, 11, 2), seed + 2);
+  a->vc()->MapIpToCallsign(IpV4Address(44, 24, 11, 2), *Ax25Address::Parse("KD7AB"));
+  b->vc()->MapIpToCallsign(IpV4Address(44, 24, 11, 1), *Ax25Address::Parse("KD7AA"));
   X5Result r;
-  TransferResult tr = RunBulkTransfer(&sim, a->tcp.get(), b->tcp.get(),
+  TransferResult tr = RunBulkTransfer(&sim, &a->tcp(), &b->tcp(),
                                       IpV4Address(44, 24, 11, 2), 8 * 1024,
                                       Seconds(3600 * 4));
   r.completed = tr.completed;
   r.elapsed_s = ToSeconds(tr.elapsed);
   r.tcp_rexmit = tr.retransmissions;
   if (Ax25Connection* circuit =
-          a->vc->link().FindConnection(*Ax25Address::Parse("KD7AB"))) {
+          a->vc()->link().FindConnection(*Ax25Address::Parse("KD7AB"))) {
     r.link_resent = circuit->i_frames_resent();
     r.negotiated = Ax25DialectName(circuit->dialect());
   }
   if (Ax25Connection* back =
-          b->vc->link().FindConnection(*Ax25Address::Parse("KD7AA"))) {
+          b->vc()->link().FindConnection(*Ax25Address::Parse("KD7AA"))) {
     r.link_resent += back->i_frames_resent();
   }
-  r.srej_sent = a->vc->link().stats().srej_sent + b->vc->link().stats().srej_sent;
+  r.srej_sent = a->vc()->link().stats().srej_sent + b->vc()->link().stats().srej_sent;
   r.events = sim.events_scheduled();
   return r;
 }
