@@ -41,18 +41,6 @@ std::uint64_t SerialEndpoint::tx_room() const {
   return backlog_ >= cap ? 0 : cap - backlog_;
 }
 
-void SerialEndpoint::DeliverChunk(const std::uint8_t* data, std::size_t len) {
-  bytes_received_ += len;
-  ++deliveries_;
-  if (auto* t = trace::Active()) {
-    t->Record(trace::Layer::kSerial, trace::Kind::kSerialDeliver,
-              trace::Dir::kRx, name_, ByteView(data, len));
-  }
-  if (on_bytes_) {
-    on_bytes_(data, len);
-  }
-}
-
 void SerialEndpoint::ScheduleHead() {
   std::size_t last = in_flight_head_;
   while (!in_flight_[last].ends_delivery) {
@@ -91,7 +79,17 @@ void SerialEndpoint::DeliverHead() {
     in_flight_ = {};
     in_flight_head_ = 0;
   }
-  peer_->DeliverChunk(chunk.data(), chunk.size());
+  // The peer takes the receive interrupt.
+  SerialEndpoint& rx = *peer_;
+  rx.bytes_received_ += chunk.size();
+  ++rx.deliveries_;
+  if (auto* t = trace::Active()) {
+    t->Record(trace::Layer::kSerial, trace::Kind::kSerialDeliver,
+              trace::Dir::kRx, rx.name_, chunk);
+  }
+  if (rx.on_bytes_) {
+    rx.on_bytes_(chunk.data(), chunk.size());
+  }
 }
 
 void SerialEndpoint::Write(ByteView bytes) {

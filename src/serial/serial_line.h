@@ -112,8 +112,6 @@ class SerialEndpoint {
     bool ends_delivery;
   };
 
-  // Hands a landed chunk to the receive side of *this* endpoint.
-  void DeliverChunk(const std::uint8_t* data, std::size_t len);
   // Puts the FIFO's head delivery in the heap under its key, and lands it at
   // the peer when it runs.
   void ScheduleHead();

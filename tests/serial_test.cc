@@ -391,6 +391,43 @@ TEST(SerialSiloOrderTest, BurstHoldsOneHeapEntryAndOneSeqPerSilo) {
   EXPECT_LE(sim.pool_capacity(), 2u);
 }
 
+TEST(SerialSiloOrderTest, WriteFromTheHandlerLeavesItsChunkIntact) {
+  // The receiver answers the first silos with bursts onto the very direction
+  // that is delivering, growing its FIFO past the storage it had; the chunk
+  // in hand is read only after that Write.
+  Simulator sim;
+  SerialLine line(&sim, SiloConfig(9600, 16));
+  Bytes sent(40, 0);
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    sent[i] = static_cast<std::uint8_t>(i);
+  }
+  Bytes burst(1000, 0);
+  for (std::size_t i = 0; i < burst.size(); ++i) {
+    burst[i] = static_cast<std::uint8_t>(i * 7 + 100);
+  }
+  int answers = 2;
+  Bytes got;
+  std::vector<std::size_t> sizes;
+  line.b().set_receive_chunk_handler([&](const std::uint8_t* d, std::size_t n) {
+    if (answers > 0) {
+      --answers;
+      line.a().Write(burst);
+    }
+    got.insert(got.end(), d, d + n);
+    sizes.push_back(n);
+  });
+  line.a().Write(sent);
+  sim.RunAll();
+  ASSERT_GE(sizes.size(), 2u);
+  EXPECT_EQ(sizes[0], 16u);
+  EXPECT_EQ(sizes[1], 16u);
+  Bytes expected = sent;
+  expected.insert(expected.end(), burst.begin(), burst.end());
+  expected.insert(expected.end(), burst.begin(), burst.end());
+  EXPECT_EQ(got, expected);
+  EXPECT_EQ(line.a().backlog(), 0u);
+}
+
 TEST(SerialSiloOrderTest, DepthZeroDeliversByteByByte) {
   Simulator sim;
   SerialLine line(&sim, SiloConfig(9600, 0, Milliseconds(5)));
