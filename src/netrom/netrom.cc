@@ -128,15 +128,15 @@ void NetRomNode::TransmitTo(const Ax25Address& neighbor, const NetRomPacket& pac
 }
 
 bool NetRomNode::SendDatagram(const Ax25Address& destination, std::uint8_t opcode,
-                              const Bytes& payload) {
+                              Bytes payload) {
   NetRomPacket p;
   p.source = callsign_;
   p.destination = destination;
   p.ttl = config_.initial_ttl;
   p.opcode = opcode;
-  p.payload = payload;
+  p.payload = std::move(payload);
   if (destination == callsign_) {
-    HandlePacket(p);
+    HandlePacket(std::move(p));
     return true;
   }
   auto route = RouteTo(destination);
@@ -237,14 +237,14 @@ void NetRomNode::HandleNodesBroadcast(const Ax25Frame& frame) {
   }
 }
 
-void NetRomNode::HandlePacket(const NetRomPacket& packet) {
+void NetRomNode::HandlePacket(NetRomPacket packet) {
   if (packet.destination == callsign_) {
     ++delivered_;
     auto it = opcode_handlers_.find(packet.opcode);
     if (it != opcode_handlers_.end()) {
-      it->second(packet.source, packet.opcode, packet.payload);
+      it->second(packet.source, packet.opcode, std::move(packet.payload));
     } else if (on_datagram_) {
-      on_datagram_(packet.source, packet.opcode, packet.payload);
+      on_datagram_(packet.source, packet.opcode, std::move(packet.payload));
     }
     return;
   }
@@ -257,10 +257,9 @@ void NetRomNode::HandlePacket(const NetRomPacket& packet) {
     ++no_route_drops_;
     return;
   }
-  NetRomPacket fwd = packet;
-  fwd.ttl = static_cast<std::uint8_t>(packet.ttl - 1);
+  --packet.ttl;
   ++forwarded_;
-  TransmitTo(route->neighbor, fwd);
+  TransmitTo(route->neighbor, packet);
 }
 
 void NetRomNode::set_enabled(bool enabled) {
@@ -295,15 +294,15 @@ void NetRomNode::HandleFrame(const Ax25Frame& frame) {
   if (!packet) {
     return;
   }
-  HandlePacket(*packet);
+  HandlePacket(std::move(*packet));
 }
 
 NetRomIpInterface::NetRomIpInterface(NetRomNode* node, std::string name, std::size_t mtu)
     : NetInterface(std::move(name), mtu), node_(node) {
   node_->RegisterOpcodeHandler(
       NetRomPacket::kOpcodeIp,
-      [this](const Ax25Address&, std::uint8_t, const Bytes& payload) {
-        DeliverToStack(PacketBuf::Adopt(Bytes(payload)));
+      [this](const Ax25Address&, std::uint8_t, Bytes&& payload) {
+        DeliverToStack(PacketBuf::Adopt(std::move(payload)));
       });
 }
 
@@ -325,7 +324,7 @@ void NetRomIpInterface::Output(PacketBuf&& ip_datagram, IpV4Address next_hop) {
   }
   ++stats_.opackets;
   stats_.obytes += datagram.size();
-  if (!node_->SendDatagram(it->second, NetRomPacket::kOpcodeIp, datagram)) {
+  if (!node_->SendDatagram(it->second, NetRomPacket::kOpcodeIp, std::move(datagram))) {
     ++stats_.oerrors;
   }
 }

@@ -77,8 +77,10 @@ struct NetRomPacket {
 
 class NetRomNode {
  public:
+  // The payload is the handler's to keep: the IP tunnel adopts it as its
+  // datagram buffer.
   using DatagramHandler =
-      std::function<void(const Ax25Address& source, std::uint8_t opcode, const Bytes&)>;
+      std::function<void(const Ax25Address& source, std::uint8_t opcode, Bytes&&)>;
   // Overflow tap: frames that are not NET/ROM (wrong PID) are passed on so
   // another user-level protocol can share the driver's tty queue.
   using FrameHandler = std::function<void(const Ax25Frame&)>;
@@ -94,8 +96,7 @@ class NetRomNode {
 
   // Sends one datagram toward `destination` (a node callsign, possibly
   // multiple hops away). Returns false when no route exists.
-  bool SendDatagram(const Ax25Address& destination, std::uint8_t opcode,
-                    const Bytes& payload);
+  bool SendDatagram(const Ax25Address& destination, std::uint8_t opcode, Bytes payload);
 
   // Fallback handler for datagrams whose opcode has no specific handler.
   void set_datagram_handler(DatagramHandler h) { on_datagram_ = std::move(h); }
@@ -130,7 +131,7 @@ class NetRomNode {
  private:
   void HandleFrame(const Ax25Frame& frame);
   void HandleNodesBroadcast(const Ax25Frame& frame);
-  void HandlePacket(const NetRomPacket& packet);
+  void HandlePacket(NetRomPacket packet);
   void TransmitTo(const Ax25Address& neighbor, const NetRomPacket& packet);
   void AgeRoutes();
 

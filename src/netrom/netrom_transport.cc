@@ -129,7 +129,7 @@ void NetRomTransport::HandleL4(const Ax25Address& src, const Bytes& full) {
         payload.push_back(static_cast<std::uint8_t>(circuit->our_key_ >> 8));
         payload.push_back(static_cast<std::uint8_t>(circuit->our_key_ & 0xFF));
         payload.push_back(config_.window);
-        node_->SendDatagram(*origin, kNrOpConnAck, payload);
+        node_->SendDatagram(*origin, kNrOpConnAck, std::move(payload));
         return;
       }
     }
@@ -141,7 +141,7 @@ void NetRomTransport::HandleL4(const Ax25Address& src, const Bytes& full) {
       payload.push_back(0);
       payload.push_back(0);
       payload.push_back(0);  // window 0
-      node_->SendDatagram(*origin, kNrOpConnAck | kNrFlagChoke, payload);
+      node_->SendDatagram(*origin, kNrOpConnAck | kNrFlagChoke, std::move(payload));
       return;
     }
     std::uint16_t key = AllocateCircuitKey();
@@ -166,7 +166,7 @@ void NetRomTransport::HandleL4(const Ax25Address& src, const Bytes& full) {
     // Unknown circuit: answer DISC REQ politely, drop the rest.
     if (m.op() == kNrOpDiscReq) {
       Bytes payload{m.idx, m.id, 0, 0};
-      node_->SendDatagram(src, kNrOpDiscAck, payload);
+      node_->SendDatagram(src, kNrOpDiscAck, std::move(payload));
     }
     return;
   }
@@ -197,7 +197,7 @@ void NetRomCircuit::SendConnRequest() {
   w.WriteU8(transport_->config().window);
   WriteCall(&w, user_);
   WriteCall(&w, transport_->node()->callsign());
-  transport_->node()->SendDatagram(remote_node_, kNrOpConnReq, payload);
+  transport_->node()->SendDatagram(remote_node_, kNrOpConnReq, std::move(payload));
   timer_.Restart(transport_->config().retransmit_timeout);
 }
 
@@ -215,7 +215,7 @@ void NetRomCircuit::StartAccept(const L4Message& conn_req, const Ax25Address& or
   payload.push_back(static_cast<std::uint8_t>(our_key_ >> 8));
   payload.push_back(static_cast<std::uint8_t>(our_key_ & 0xFF));
   payload.push_back(transport_->config().window);
-  transport_->node()->SendDatagram(remote_node_, kNrOpConnAck, payload);
+  transport_->node()->SendDatagram(remote_node_, kNrOpConnAck, std::move(payload));
   if (on_connected_) {
     on_connected_();
   }
@@ -228,7 +228,7 @@ void NetRomCircuit::SendControl(std::uint8_t opcode, const Bytes& body) {
   payload.push_back(0);
   payload.push_back(0);
   payload.insert(payload.end(), body.begin(), body.end());
-  transport_->node()->SendDatagram(remote_node_, opcode, payload);
+  transport_->node()->SendDatagram(remote_node_, opcode, std::move(payload));
 }
 
 void NetRomCircuit::SendInfoAck(std::uint8_t flags) {
@@ -239,7 +239,7 @@ void NetRomCircuit::SendInfoAck(std::uint8_t flags) {
   payload.push_back(vr_);
   transport_->node()->SendDatagram(remote_node_,
                                    static_cast<std::uint8_t>(kNrOpInfoAck | flags),
-                                   payload);
+                                   std::move(payload));
 }
 
 void NetRomCircuit::Send(const Bytes& data) {
@@ -293,7 +293,7 @@ void NetRomCircuit::TransmitInfo(std::uint8_t seq, bool retransmission) {
   } else {
     ++info_sent_;
   }
-  transport_->node()->SendDatagram(remote_node_, kNrOpInfo, payload);
+  transport_->node()->SendDatagram(remote_node_, kNrOpInfo, std::move(payload));
 }
 
 void NetRomCircuit::HandleInfoAckField(std::uint8_t rx_seq) {

@@ -2,30 +2,36 @@
 
 namespace upr {
 
+RadioFrontEnd AttachRadio(Simulator* sim, RadioChannel* channel, NetStack* stack,
+                          const std::string& name, const Ax25Address& callsign,
+                          SerialLineConfig serial, std::uint32_t baud, TncConfig tnc,
+                          PacketRadioConfig driver, std::uint64_t tnc_seed,
+                          bool name_line_ends) {
+  RadioFrontEnd radio;
+  serial.baud_rate = baud;
+  radio.serial = std::make_unique<SerialLine>(sim, serial);
+  if (name_line_ends) {
+    radio.serial->a().set_name(name + " dz0");
+    radio.serial->b().set_name(name + " tnc");
+  }
+  if (tnc.local_addresses.empty()) {
+    tnc.local_addresses.push_back(callsign);
+  }
+  radio.tnc = std::make_unique<KissTnc>(sim, channel, &radio.serial->b(), name, tnc, tnc_seed);
+  driver.local_address = callsign;
+  radio.driver = static_cast<PacketRadioInterface*>(stack->AddInterface(
+      std::make_unique<PacketRadioInterface>(sim, &radio.serial->a(), "pr0", driver)));
+  return radio;
+}
+
 RadioStation::RadioStation(Simulator* sim, RadioChannel* channel,
                            RadioStationConfig config)
     : config_(std::move(config)) {
   stack_ = std::make_unique<NetStack>(sim, config_.hostname);
-  SerialLineConfig serial_config = config_.serial;
-  serial_config.baud_rate = config_.serial_baud;
-  serial_ = std::make_unique<SerialLine>(sim, serial_config);
-  // Trace attribution: the host side of the line is its DZ port, the far
-  // side the TNC. Each becomes its own pcapng interface.
-  serial_->a().set_name(config_.hostname + " dz0");
-  serial_->b().set_name(config_.hostname + " tnc");
-  TncConfig tnc_config = config_.tnc;
-  if (tnc_config.local_addresses.empty()) {
-    tnc_config.local_addresses.push_back(config_.callsign);
-  }
-  tnc_ = std::make_unique<KissTnc>(sim, channel, &serial_->b(), config_.hostname,
-                                   tnc_config, config_.seed * 1000 + 1);
-  PacketRadioConfig driver_config = config_.driver;
-  driver_config.local_address = config_.callsign;
-  auto radio_if =
-      std::make_unique<PacketRadioInterface>(sim, &serial_->a(), "pr0", driver_config);
-  radio_if->Configure(config_.ip, config_.prefix_len);
-  radio_if_ = static_cast<PacketRadioInterface*>(
-      stack_->AddInterface(std::move(radio_if)));
+  radio_ = AttachRadio(sim, channel, stack_.get(), config_.hostname, config_.callsign,
+                       config_.serial, config_.serial_baud, config_.tnc, config_.driver,
+                       config_.seed * 1000 + 1, true);
+  radio_.driver->Configure(config_.ip, config_.prefix_len);
   tcp_ = std::make_unique<Tcp>(stack_.get(), config_.tcp, config_.seed * 1000 + 2);
   udp_ = std::make_unique<Udp>(stack_.get());
 }
@@ -46,30 +52,16 @@ GatewayHost::GatewayHost(Simulator* sim, RadioChannel* channel, EtherSegment* se
                          GatewayHostConfig config)
     : config_(std::move(config)) {
   stack_ = std::make_unique<NetStack>(sim, config_.hostname);
-  SerialLineConfig serial_config = config_.serial;
-  serial_config.baud_rate = config_.serial_baud;
-  serial_ = std::make_unique<SerialLine>(sim, serial_config);
-  serial_->a().set_name(config_.hostname + " dz0");
-  serial_->b().set_name(config_.hostname + " tnc");
-  TncConfig tnc_config = config_.tnc;
-  if (tnc_config.local_addresses.empty()) {
-    tnc_config.local_addresses.push_back(config_.callsign);
-  }
-  tnc_ = std::make_unique<KissTnc>(sim, channel, &serial_->b(), config_.hostname,
-                                   tnc_config, config_.seed * 1000 + 4);
-  PacketRadioConfig driver_config = config_.driver;
-  driver_config.local_address = config_.callsign;
-  auto radio_if =
-      std::make_unique<PacketRadioInterface>(sim, &serial_->a(), "pr0", driver_config);
-  radio_if->Configure(config_.radio_ip, config_.radio_prefix_len);
-  radio_if_ = static_cast<PacketRadioInterface*>(
-      stack_->AddInterface(std::move(radio_if)));
+  radio_ = AttachRadio(sim, channel, stack_.get(), config_.hostname, config_.callsign,
+                       config_.serial, config_.serial_baud, config_.tnc, config_.driver,
+                       config_.seed * 1000 + 4, true);
+  radio_.driver->Configure(config_.radio_ip, config_.radio_prefix_len);
   auto ether_if = std::make_unique<EthernetInterface>(
       segment, "qe0", EtherAddr::FromIndex(config_.mac_index));
   ether_if->Configure(config_.ether_ip, config_.ether_prefix_len);
   ether_if_ =
       static_cast<EthernetInterface*>(stack_->AddInterface(std::move(ether_if)));
-  gateway_ = std::make_unique<PacketRadioGateway>(stack_.get(), radio_if_,
+  gateway_ = std::make_unique<PacketRadioGateway>(stack_.get(), radio_.driver,
                                                   config_.gateway);
   tcp_ = std::make_unique<Tcp>(stack_.get(), config_.tcp, config_.seed * 1000 + 5);
   udp_ = std::make_unique<Udp>(stack_.get());

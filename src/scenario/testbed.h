@@ -26,6 +26,24 @@
 
 namespace upr {
 
+// The radio half every station shares, figure 1's Radio — TNC — RS-232 —
+// DZ: a serial line with a KISS TNC on `channel` at its far end and the
+// packet radio driver "pr0" at its near end, added to `stack`. `serial`
+// runs at `baud`; `tnc` learns `callsign` as its local address when it has
+// none. `name_line_ends` names the line's ends "<name> dz0" and "<name> tnc"
+// for trace attribution, each its own pcapng interface; VcStation leaves them
+// unnamed, as its wire goldens were captured.
+struct RadioFrontEnd {
+  std::unique_ptr<SerialLine> serial;
+  std::unique_ptr<KissTnc> tnc;
+  PacketRadioInterface* driver = nullptr;
+};
+RadioFrontEnd AttachRadio(Simulator* sim, RadioChannel* channel, NetStack* stack,
+                          const std::string& name, const Ax25Address& callsign,
+                          SerialLineConfig serial, std::uint32_t baud, TncConfig tnc,
+                          PacketRadioConfig driver, std::uint64_t tnc_seed,
+                          bool name_line_ends);
+
 struct RadioStationConfig {
   std::string hostname = "pc";
   Ax25Address callsign;
@@ -48,20 +66,18 @@ class RadioStation {
   RadioStation(Simulator* sim, RadioChannel* channel, RadioStationConfig config);
 
   NetStack& stack() { return *stack_; }
-  PacketRadioInterface* radio_if() { return radio_if_; }
-  KissTnc& tnc() { return *tnc_; }
+  PacketRadioInterface* radio_if() { return radio_.driver; }
+  KissTnc& tnc() { return *radio_.tnc; }
   Tcp& tcp() { return *tcp_; }
   Udp& udp() { return *udp_; }
   const Ax25Address& callsign() const { return config_.callsign; }
   IpV4Address ip() const { return config_.ip; }
-  SerialLine& serial() { return *serial_; }
+  SerialLine& serial() { return *radio_.serial; }
 
  private:
   RadioStationConfig config_;
   std::unique_ptr<NetStack> stack_;
-  std::unique_ptr<SerialLine> serial_;
-  std::unique_ptr<KissTnc> tnc_;
-  PacketRadioInterface* radio_if_ = nullptr;
+  RadioFrontEnd radio_;
   std::unique_ptr<Tcp> tcp_;
   std::unique_ptr<Udp> udp_;
 };
@@ -119,21 +135,19 @@ class GatewayHost {
               GatewayHostConfig config);
 
   NetStack& stack() { return *stack_; }
-  PacketRadioInterface* radio_if() { return radio_if_; }
+  PacketRadioInterface* radio_if() { return radio_.driver; }
   EthernetInterface* ether_if() { return ether_if_; }
   PacketRadioGateway& gateway() { return *gateway_; }
-  KissTnc& tnc() { return *tnc_; }
+  KissTnc& tnc() { return *radio_.tnc; }
   Tcp& tcp() { return *tcp_; }
   Udp& udp() { return *udp_; }
-  SerialLine& serial() { return *serial_; }
+  SerialLine& serial() { return *radio_.serial; }
   const GatewayHostConfig& config() const { return config_; }
 
  private:
   GatewayHostConfig config_;
   std::unique_ptr<NetStack> stack_;
-  std::unique_ptr<SerialLine> serial_;
-  std::unique_ptr<KissTnc> tnc_;
-  PacketRadioInterface* radio_if_ = nullptr;
+  RadioFrontEnd radio_;
   EthernetInterface* ether_if_ = nullptr;
   std::unique_ptr<PacketRadioGateway> gateway_;
   std::unique_ptr<Tcp> tcp_;

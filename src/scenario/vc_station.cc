@@ -5,21 +5,14 @@ namespace upr {
 VcStation::VcStation(Simulator* sim, RadioChannel* channel, VcStationConfig config) {
   callsign_ = *Ax25Address::Parse(config.callsign);
   stack_ = std::make_unique<NetStack>(sim, config.name);
-  SerialLineConfig serial_cfg;
-  serial_cfg.baud_rate = config.serial_baud;
-  serial_ = std::make_unique<SerialLine>(sim, serial_cfg);
   TncConfig tnc_cfg;
   tnc_cfg.mac = config.mac;
-  tnc_cfg.local_addresses.push_back(callsign_);
-  tnc_ = std::make_unique<KissTnc>(sim, channel, &serial_->b(), config.name, tnc_cfg,
-                                   config.seed * 100 + 1);
-  PacketRadioConfig drv;
-  drv.local_address = callsign_;
-  auto driver =
-      std::make_unique<PacketRadioInterface>(sim, &serial_->a(), "pr0", drv);
-  driver_ =
-      static_cast<PacketRadioInterface*>(stack_->AddInterface(std::move(driver)));
-  auto vc = std::make_unique<Ax25VcIpInterface>(sim, driver_, "vc0", config.link);
+  // The driver carries no IP address in VC mode; the VC interface is the IP
+  // attachment point. The line's ends stay unnamed (the vc goldens pin that).
+  radio_ = AttachRadio(sim, channel, stack_.get(), config.name, callsign_, SerialLineConfig{},
+                       config.serial_baud, std::move(tnc_cfg), PacketRadioConfig{},
+                       config.seed * 100 + 1, false);
+  auto vc = std::make_unique<Ax25VcIpInterface>(sim, radio_.driver, "vc0", config.link);
   vc->Configure(config.ip, config.prefix_len);
   vc_ = static_cast<Ax25VcIpInterface*>(stack_->AddInterface(std::move(vc)));
   tcp_ = std::make_unique<Tcp>(stack_.get(), config.tcp, config.seed * 100 + 2);

@@ -16,6 +16,7 @@
 #include "src/driver/vc_ip_interface.h"
 #include "src/net/netstack.h"
 #include "src/radio/channel.h"
+#include "src/scenario/testbed.h"
 #include "src/serial/serial_line.h"
 #include "src/sim/simulator.h"
 #include "src/tcp/tcp.h"
@@ -52,9 +53,9 @@ class VcStation {
   VcStation(Simulator* sim, RadioChannel* channel, VcStationConfig config);
 
   NetStack& stack() { return *stack_; }
-  SerialLine& serial() { return *serial_; }
-  KissTnc& tnc() { return *tnc_; }
-  PacketRadioInterface* driver() { return driver_; }
+  SerialLine& serial() { return *radio_.serial; }
+  KissTnc& tnc() { return *radio_.tnc; }
+  PacketRadioInterface* driver() { return radio_.driver; }
   Ax25VcIpInterface* vc() { return vc_; }
   Tcp& tcp() { return *tcp_; }
   const Ax25Address& callsign() const { return callsign_; }
@@ -62,9 +63,7 @@ class VcStation {
  private:
   Ax25Address callsign_;
   std::unique_ptr<NetStack> stack_;
-  std::unique_ptr<SerialLine> serial_;
-  std::unique_ptr<KissTnc> tnc_;
-  PacketRadioInterface* driver_ = nullptr;
+  RadioFrontEnd radio_;
   Ax25VcIpInterface* vc_ = nullptr;
   std::unique_ptr<Tcp> tcp_;
 };

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Tier-1 verification script.
 #
-# Job 1: regular build + full test suite (the ROADMAP.md tier-1 command)
+# Job 1: regular build + full test suite (the ROADMAP.md tier-1 command; its
+#        uprsim tests hold the golden, silo A/B and fault-replay byte gates)
 #        plus the copy-path smoke bench (zero-copy ratio regression gate)
 #        and the repo benchmark's own self-tests (perfbench/, built as a
 #        package of its own in build/perfbench).
@@ -136,162 +137,6 @@ run_smoke() {
   fi
 }
 
-# Record a lossy seeded scenario, replay it from the fault schedule, and
-# require the replay to be clean (uprsim exit 3 on divergence) with a
-# byte-identical pcapng. Workload failure (exit 1) is tolerated — the lossy
-# channel may legitimately drop all pings — but both runs must agree.
-run_replay_smoke() {
-  builddir=$1
-  smokedir="$builddir/replay-smoke"
-  rm -rf "$smokedir"
-  mkdir -p "$smokedir"
-  scenario="--pcs 2 --hosts 0 --digis 2 --workload ping --loss 0.05 \
-    --ber 0.0001 --duration 900"
-  rec_status=0
-  # shellcheck disable=SC2086
-  "$builddir/tools/uprsim" $scenario --seed 42 \
-    --record-faults "$smokedir/run.faults" \
-    --trace "$smokedir/record.pcapng" >"$smokedir/record.out" 2>&1 \
-    || rec_status=$?
-  if [ "$rec_status" -gt 1 ]; then
-    cat "$smokedir/record.out" >&2
-    echo "FAIL: replay smoke record run exited $rec_status" >&2
-    exit 1
-  fi
-  rep_status=0
-  # shellcheck disable=SC2086
-  "$builddir/tools/uprsim" $scenario --seed 999 \
-    --replay-faults "$smokedir/run.faults" \
-    --trace "$smokedir/replay.pcapng" >"$smokedir/replay.out" 2>&1 \
-    || rep_status=$?
-  if [ "$rep_status" -gt 1 ]; then
-    cat "$smokedir/replay.out" >&2
-    echo "FAIL: replay smoke replay run exited $rep_status (3 = diverged)" >&2
-    exit 1
-  fi
-  if [ "$rec_status" -ne "$rep_status" ]; then
-    echo "FAIL: replay smoke: record exit $rec_status != replay exit $rep_status" >&2
-    exit 1
-  fi
-  # Structural diff instead of cmp: on divergence the report names the
-  # interface, frame index, and first differing byte. The report file sits
-  # next to the captures so CI uploads all three as failure artifacts.
-  if ! "$builddir/tools/tracediff" \
-      "$smokedir/record.pcapng" "$smokedir/replay.pcapng" \
-      >"$smokedir/replay.tracediff.txt" 2>&1; then
-    cat "$smokedir/replay.tracediff.txt" >&2
-    echo "FAIL: replay smoke: record and replay traces diverge (see above)" >&2
-    exit 1
-  fi
-  echo "replay smoke: clean replay, traces equivalent"
-}
-
-# A/B equivalence gate for silo-mode serial delivery (PR 1): the same seeded
-# scenario run per-byte (--silo 0) and batched (--silo 16) must put identical
-# bytes on the wire. The ping pair must match exactly, timestamps included.
-# The TCP pair is payload-identical but silo batching legitimately shifts
-# delivery timing by up to the silo alarm (~24 ms measured), so it gets
-# --time-tol 100 — a payload or ordering change still fails. The silo run
-# is also pinned exactly (--time-tol 0) to tests/golden/tcp_silo16_seed7.pcapng,
-# so a silo timing shift under that tolerance cannot pass unseen either.
-run_ab_smoke() {
-  builddir=$1
-  abdir="$builddir/ab-smoke"
-  rm -rf "$abdir"
-  mkdir -p "$abdir"
-  for case_name in ping tcp; do
-    case "$case_name" in
-      ping)
-        scenario="--pcs 2 --hosts 1 --digis 1 --workload ping --seed 7 \
-          --duration 900"
-        tol="0"
-        golden=""
-        ;;
-      tcp)
-        scenario="--pcs 1 --hosts 1 --workload tcp --rate 2400 --seed 7 \
-          --duration 1200"
-        tol="100"
-        golden="tests/golden/tcp_silo16_seed7.pcapng"
-        ;;
-    esac
-    for mode in perbyte silo; do
-      case "$mode" in
-        perbyte) silo_flag="--silo 0" ;;
-        silo)    silo_flag="--silo 16" ;;
-      esac
-      # shellcheck disable=SC2086
-      if ! "$builddir/tools/uprsim" $scenario $silo_flag \
-          --trace "$abdir/$case_name-$mode.pcapng" \
-          >"$abdir/$case_name-$mode.out" 2>&1; then
-        cat "$abdir/$case_name-$mode.out" >&2
-        echo "FAIL: A/B smoke: $case_name $mode run failed" >&2
-        exit 1
-      fi
-    done
-    if ! "$builddir/tools/tracediff" --time-tol "$tol" \
-        "$abdir/$case_name-perbyte.pcapng" "$abdir/$case_name-silo.pcapng" \
-        >"$abdir/$case_name.tracediff.txt" 2>&1; then
-      cat "$abdir/$case_name.tracediff.txt" >&2
-      echo "FAIL: A/B smoke: silo vs per-byte traces diverge ($case_name," \
-        "tol ${tol}ms; see above)" >&2
-      exit 1
-    fi
-    echo "A/B smoke: $case_name silo == per-byte (time-tol ${tol}ms)"
-    if [ -n "$golden" ]; then
-      if ! "$builddir/tools/tracediff" --time-tol 0 \
-          "$golden" "$abdir/$case_name-silo.pcapng" \
-          >"$abdir/$case_name-golden.tracediff.txt" 2>&1; then
-        cat "$abdir/$case_name-golden.tracediff.txt" >&2
-        echo "FAIL: A/B smoke: $case_name silo trace differs from the pinned" \
-          "capture $golden (see above)" >&2
-        exit 1
-      fi
-      echo "A/B smoke: $case_name silo == $golden (byte-identical)"
-    fi
-  done
-}
-
-# A/B gate for the v2.2 refactor (PR 7): the LAPB core is now generic over
-# the modulus, so default (v2.0) stations must emit byte-identical frame
-# sequences to the pre-refactor code. Two seeded scenarios — a VC-mode
-# transfer (connected-mode LAPB datapath) and a UI ping (datagram path) —
-# are re-run and tracediff'd against captures pinned in tests/golden/.
-run_v20_golden_smoke() {
-  builddir=$1
-  gdir="$builddir/v20-golden-smoke"
-  rm -rf "$gdir"
-  mkdir -p "$gdir"
-  for case_name in vc ui; do
-    case "$case_name" in
-      vc)
-        scenario="--workload vc --rate 9600 --loss 0.05 --seed 4242 \
-          --duration 7200"
-        golden="tests/golden/vc_v20_seed4242.pcapng"
-        ;;
-      ui)
-        scenario="--pcs 2 --hosts 0 --digis 1 --workload ping --seed 7 \
-          --duration 900"
-        golden="tests/golden/ui_ping_seed7.pcapng"
-        ;;
-    esac
-    # shellcheck disable=SC2086
-    if ! "$builddir/tools/uprsim" $scenario \
-        --trace "$gdir/$case_name.pcapng" >"$gdir/$case_name.out" 2>&1; then
-      cat "$gdir/$case_name.out" >&2
-      echo "FAIL: v2.0 golden smoke: $case_name run failed" >&2
-      exit 1
-    fi
-    if ! "$builddir/tools/tracediff" "$golden" "$gdir/$case_name.pcapng" \
-        >"$gdir/$case_name.tracediff.txt" 2>&1; then
-      cat "$gdir/$case_name.tracediff.txt" >&2
-      echo "FAIL: v2.0 golden smoke: $case_name trace differs from the" \
-        "pinned pre-v2.2 capture $golden (see above)" >&2
-      exit 1
-    fi
-    echo "v2.0 golden smoke: $case_name == $golden (byte-identical)"
-  done
-}
-
 # The repo benchmark (perfbench/) is a CMake package of its own that builds
 # ../src in Release. Its ctest runs one smoke per workload: each must pass its
 # output checks (every repetition reproduces the same counts, city-wide's
@@ -388,23 +233,8 @@ if [ "$run_regular" = 1 ]; then
   fi
 
   if [ "$run_bench" = 1 ]; then
-    echo "=== tier-1: fault record/replay smoke ==="
-    run_replay_smoke ./build
-  fi
-
-  if [ "$run_bench" = 1 ]; then
     echo "=== tier-1: tracediff throughput smoke ==="
     run_smoke ./build/bench/bench_tracediff
-  fi
-
-  if [ "$run_bench" = 1 ]; then
-    echo "=== tier-1: silo vs per-byte A/B trace equivalence ==="
-    run_ab_smoke ./build
-  fi
-
-  if [ "$run_bench" = 1 ]; then
-    echo "=== tier-1: v2.0 byte-identity vs pinned pre-v2.2 goldens ==="
-    run_v20_golden_smoke ./build
   fi
 
   if [ "$run_bench" = 1 ]; then
@@ -432,23 +262,8 @@ if [ "$run_asan" = 1 ]; then
   fi
 
   if [ "$run_bench" = 1 ]; then
-    echo "=== tier-1: fault record/replay smoke under ASan ==="
-    run_replay_smoke ./build-asan
-  fi
-
-  if [ "$run_bench" = 1 ]; then
     echo "=== tier-1: tracediff throughput smoke under ASan ==="
     run_smoke ./build-asan/bench/bench_tracediff
-  fi
-
-  if [ "$run_bench" = 1 ]; then
-    echo "=== tier-1: silo vs per-byte A/B trace equivalence under ASan ==="
-    run_ab_smoke ./build-asan
-  fi
-
-  if [ "$run_bench" = 1 ]; then
-    echo "=== tier-1: v2.0 byte-identity vs pinned goldens under ASan ==="
-    run_v20_golden_smoke ./build-asan
   fi
 fi
 

@@ -13,14 +13,17 @@
 // schedule; --replay-faults re-runs the scenario consuming that schedule
 // instead of the RNGs, reproducing the original run decision for decision.
 //
+// A flag the chosen workload does not honour is a usage error, never
+// silently ignored.
+//
 // Exit status is 0 when the workload completed, 1 when it failed, 2 on a
 // usage or file error, 3 when a replay diverged from its schedule.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
-
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/apps/telnet.h"
@@ -73,6 +76,7 @@ struct Options {
   std::string bridge_pty;       // port name to surface as a PTY
   std::string bridge_tcp_name;  // port name to surface as a TCP listener
   std::uint16_t bridge_tcp_port = 0;  // 0 = ephemeral (printed at startup)
+  std::vector<std::string> given;     // every flag on the command line
 };
 
 void Usage(const char* argv0) {
@@ -149,6 +153,7 @@ void Usage(const char* argv0) {
 bool ParseOptions(int argc, char** argv, Options* opt) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    opt->given.push_back(arg);
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "%s needs a value\n", arg.c_str());
@@ -275,31 +280,246 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
   return true;
 }
 
+// --- Scenes ------------------------------------------------------------------
+//
+// A scene is one workload, built and ready to run: its clock (one Simulator,
+// or a ShardSet whose CurrentTime follows the executing shard), its radio
+// channels, a run step with the workload's own stop rule, and its --netstat
+// printer. RunScene wraps every scene in the same fault session, tracing,
+// monitor, pacing, channel summary and verdict.
+class Scene {
+ public:
+  Scene(std::string workload, const Options& options, Simulator* clock,
+        std::vector<RadioChannel*> radios)
+      : name(std::move(workload)), opt(options), sim(clock), channels(std::move(radios)) {}
+  virtual ~Scene() = default;
+
+  // Sets the workload going and runs it to its stop rule, printing what the
+  // workload reports. Returns 0 when the workload completed, 1 when it
+  // failed, and 2 on a setup error it has already reported.
+  virtual int Run() = 0;
+  // Prints the --netstat tables.
+  virtual void Netstat() = 0;
+
+  std::string name;                     // workload name on the verdict line
+  const Options& opt;
+  Simulator* sim = nullptr;             // the clock, unless sharded...
+  ShardSet* shards = nullptr;           // ...across these shards
+  std::vector<RadioChannel*> channels;  // monitored and summarised
+  std::string fault_meta;  // its own flags, stamped into a recorded schedule
+  // Set by the harness.
+  RealtimeExecutor* rt = nullptr;          // paces the run under --realtime
+  const trace::Tracer* tracer = nullptr;   // the first tracer, if tracing
+  const fault::Session* faults = nullptr;  // set when recording or replaying
+
+ protected:
+  // The tables every single-clock scene ends its --netstat with.
+  void PrintBufTraceFaults() const {
+    std::printf("\n%s", FormatBufStats().c_str());
+    if (tracer != nullptr) {
+      std::printf("\n%s", FormatTrace(*tracer).c_str());
+    }
+    if (faults != nullptr) {
+      std::printf("\n%s", FormatFaults(*faults).c_str());
+    }
+  }
+
+  // Runs to --duration, or paced by `rt` until `done` says the workload is.
+  void RunFor(const std::function<bool()>& done) {
+    if (rt != nullptr) {
+      rt->RunUntil(Seconds(opt.duration), done);
+    } else {
+      sim->RunUntil(Seconds(opt.duration));
+    }
+  }
+
+  // The bulk workload of tcp and vc: 8 KB from `from` to port 5001 on `to`,
+  // stepping until the last byte arrives or --duration passes. Where a run
+  // stops moves Utilization() and the --netstat event counts, so a finished
+  // transfer does not run on to --duration.
+  int RunTransfer(Tcp& from, Tcp& to, IpV4Address dst, bool over_vc) {
+    constexpr std::size_t kBytes = 8 * 1024;
+    std::size_t received = 0;
+    to.Listen(5001, [&](TcpConnection* c) {
+      c->set_data_handler([&](const Bytes& d) { received += d.size(); });
+    });
+    TcpConnection* conn = from.Connect(dst, 5001);
+    if (conn == nullptr) {
+      return 1;
+    }
+    conn->set_connected_handler([conn] { conn->Send(Bytes(kBytes, 0x42)); });
+    const SimTime start = sim->Now();
+    const SimTime end = Seconds(opt.duration);
+    if (rt != nullptr) {
+      rt->RunUntil(end, [&] { return received >= kBytes; });
+    } else {
+      while (received < kBytes && sim->Now() < end && sim->Step()) {
+      }
+    }
+    if (received < kBytes) {
+      std::printf("%stransfer incomplete: %zu/%zu bytes\n", over_vc ? "VC " : "", received, kBytes);
+      return 1;
+    }
+    const double secs = ToSeconds(sim->Now() - start);
+    std::printf("transferred %zu bytes%s (%.0f bps goodput, %llu rexmits)\n",
+                received, over_vc ? " over VC" : "", received * 8.0 / secs,
+                static_cast<unsigned long long>(conn->stats().retransmissions));
+    return 0;
+  }
+};
+
+RadioChannelConfig ChannelConfig(const Options& opt) {
+  return {.bit_rate = opt.rate, .loss_rate = opt.loss, .bit_error_rate = opt.ber};
+}
+
+// --silo N as a serial delivery discipline; 0 keeps the per-character DZ.
+SerialLineConfig SerialConfig(const Options& opt) {
+  SerialLineConfig serial;
+  if (opt.silo > 0) {
+    serial.mode = SerialLineConfig::Mode::kSilo;
+    serial.silo_depth = opt.silo;
+  }
+  return serial;
+}
+
+// --- The paper's testbed: ping, tcp and telnet ------------------------------
+
+TestbedConfig TestbedConfigFor(const Options& opt) {
+  TestbedConfig cfg;
+  cfg.radio_pcs = opt.pcs;
+  cfg.ether_hosts = opt.hosts;
+  cfg.digipeaters = opt.digis;
+  cfg.radio_bit_rate = opt.rate;
+  cfg.radio_loss_rate = opt.loss;
+  cfg.radio_bit_error_rate = opt.ber;
+  cfg.tnc_address_filter = opt.tnc_filter;
+  cfg.enforce_access_control = opt.access_control;
+  cfg.seed = opt.seed;
+  cfg.serial = SerialConfig(opt);
+  return cfg;
+}
+
+class TestbedScene : public Scene {
+ public:
+  explicit TestbedScene(const Options& options)
+      : Scene(options.workload, options, nullptr, {}), tb_(TestbedConfigFor(options)) {
+    tb_.PopulateRadioArp();
+    sim = &tb_.sim();
+    channels.push_back(&tb_.channel());
+    fault_meta = "--pcs " + std::to_string(opt.pcs) + " --hosts " +
+                 std::to_string(opt.hosts) + " --digis " + std::to_string(opt.digis);
+  }
+
+  int Run() override {
+    const IpV4Address target = opt.hosts > 0
+                                   ? Testbed::EtherHostIp(0)
+                                   : Testbed::RadioPcIp(opt.pcs > 1 ? 1 : 0);
+    if (opt.workload == "tcp") {
+      Tcp& sink = opt.hosts > 0 ? tb_.host(0).tcp() : tb_.pc(opt.pcs > 1 ? 1 : 0).tcp();
+      return RunTransfer(tb_.pc(0).tcp(), sink, target, false);
+    }
+    if (opt.workload == "telnet") {
+      // Log in, echo a line at 40% of --duration, quit at 80%.
+      telnetd_ = std::make_unique<TelnetServer>(&tb_.host(0).tcp(), "june");
+      telnet_ = std::make_unique<TelnetClient>(&tb_.pc(0).tcp());
+      telnet_->set_line_handler([this](const std::string& line) {
+        std::printf("  [telnet] %s\n", line.c_str());
+        if (line.find("73 de uprsim") != std::string::npos) {
+          echoed_ = true;
+        }
+      });
+      telnet_->Connect(Testbed::EtherHostIp(0), "operator");
+      tb_.sim().Schedule(Seconds(opt.duration * 0.4),
+                         [this] { telnet_->SendCommand("echo 73 de uprsim"); });
+      tb_.sim().Schedule(Seconds(opt.duration * 0.8), [this] { telnet_->Quit(); });
+      RunFor(nullptr);
+      return echoed_ ? 0 : 1;
+    }
+    // Three pings in turn.
+    int replies = 0;
+    const int wanted = 3;
+    std::function<void(int)> ping = [&](int remaining) {
+      if (remaining == 0) {
+        return;
+      }
+      tb_.pc(0).stack().icmp().Ping(target, 32, [&, remaining](bool ok, SimTime rtt) {
+        if (ok) {
+          ++replies;
+          std::printf("reply from %s: time=%.2f s\n", target.ToString().c_str(),
+                      ToSeconds(rtt));
+        } else {
+          std::printf("ping timed out\n");
+        }
+        ping(remaining - 1);
+      });
+    };
+    ping(wanted);
+    RunFor([&] { return replies == wanted; });
+    return replies == wanted ? 0 : 1;
+  }
+
+  void Netstat() override {
+    std::printf("\n%s", FormatNetstat(tb_.gateway().stack()).c_str());
+    std::printf("%s", FormatGateway(tb_.gateway().gateway()).c_str());
+    std::printf("%s", FormatSerial(tb_.gateway().serial(), "microvax dz0").c_str());
+    std::printf("%s", FormatDriverStats(*tb_.gateway().radio_if()).c_str());
+    for (std::size_t i = 0; i < opt.pcs; ++i) {
+      std::printf("\n%s", FormatNetstat(tb_.pc(i).stack()).c_str());
+      std::printf("%s", FormatSerial(tb_.pc(i).serial(),
+                                     "pc" + std::to_string(i) + " com0").c_str());
+      std::printf("%s", FormatDriverStats(*tb_.pc(i).radio_if()).c_str());
+    }
+    PrintBufTraceFaults();
+    std::printf("\n%s", FormatSimulator(tb_.sim()).c_str());
+  }
+
+ private:
+  Testbed tb_;
+  std::unique_ptr<TelnetServer> telnetd_;
+  std::unique_ptr<TelnetClient> telnet_;
+  bool echoed_ = false;
+};
+
 // --- IP-over-VC workload -----------------------------------------------------
 //
 // Two KA9Q-style VC stations (IP over AX.25 connected mode) on one channel,
 // one bulk TCP transfer between them. This is the only workload that runs the
-// LAPB state machine over the real serial/KISS wire, so check.sh uses it
-// (seeded, with --trace) to pin the connected-mode wire format against the
-// goldens in tests/golden/.
-int RunVcScenario(const Options& opt) {
-  if (!opt.record_faults.empty() || !opt.replay_faults.empty()) {
-    std::fprintf(stderr, "fault record/replay is not supported for --workload vc\n");
-    return 2;
+// LAPB state machine over the real serial/KISS wire, so ctest uses it (seeded,
+// with --trace) to pin the connected-mode wire format against the goldens in
+// tests/golden/.
+class VcScene : public Scene {
+ public:
+  explicit VcScene(const Options& options)
+      : Scene("vc", options, &sim_, {&channel_}),
+        channel_(&sim_, ChannelConfig(options), options.seed),
+        a_(&sim_, &channel_, StationConfig(options, "vca", "KD7AA", 1)),
+        b_(&sim_, &channel_, StationConfig(options, "vcb", "KD7AB", 2)) {
+    a_.vc()->MapIpToCallsign(IpV4Address(44, 24, 11, 2), b_.callsign());
+    b_.vc()->MapIpToCallsign(IpV4Address(44, 24, 11, 1), a_.callsign());
+    fault_meta = "--ax25 " + opt.ax25 + " --maxframe " +
+                 std::to_string(a_.vc()->link().config().window);
   }
-  Simulator sim;
-  RadioChannelConfig rc;
-  rc.bit_rate = opt.rate;
-  rc.loss_rate = opt.loss;
-  rc.bit_error_rate = opt.ber;
-  RadioChannel channel(&sim, rc, opt.seed);
 
-  auto station = [&](const char* name, const char* call, IpV4Address ip,
-                     std::uint64_t seed) {
+  int Run() override {
+    return RunTransfer(a_.tcp(), b_.tcp(), IpV4Address(44, 24, 11, 2), true);
+  }
+
+  void Netstat() override {
+    std::printf("\n%s", FormatNetstat(a_.stack()).c_str());
+    std::printf("%s", FormatAx25Link(a_.vc()->link(), "vca/vc0").c_str());
+    std::printf("\n%s", FormatNetstat(b_.stack()).c_str());
+    std::printf("%s", FormatAx25Link(b_.vc()->link(), "vcb/vc0").c_str());
+    PrintBufTraceFaults();
+  }
+
+ private:
+  // Station `host` is 44.24.11.<host>, seeded --seed + host.
+  static VcStationConfig StationConfig(const Options& opt, const char* name,
+                                       const char* call, std::uint8_t host) {
     VcStationConfig cfg;
     cfg.name = name;
     cfg.callsign = call;
-    cfg.ip = ip;
+    cfg.ip = IpV4Address(44, 24, 11, host);
     cfg.serial_baud = static_cast<std::uint32_t>(opt.rate);
     cfg.link.t1 = Seconds(8);
     cfg.link.n2 = 40;
@@ -311,83 +531,15 @@ int RunVcScenario(const Options& opt) {
       cfg.link.window = static_cast<std::uint8_t>(opt.maxframe);
     }
     cfg.tcp.max_retries = 60;
-    cfg.seed = seed;
-    return std::make_unique<VcStation>(&sim, &channel, cfg);
-  };
-  auto a = station("vca", "KD7AA", IpV4Address(44, 24, 11, 1), opt.seed + 1);
-  auto b = station("vcb", "KD7AB", IpV4Address(44, 24, 11, 2), opt.seed + 2);
-  a->vc()->MapIpToCallsign(IpV4Address(44, 24, 11, 2), b->callsign());
-  b->vc()->MapIpToCallsign(IpV4Address(44, 24, 11, 1), a->callsign());
-
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<trace::ScopedInstall> trace_install;
-  if (opt.trace_enabled) {
-    trace::TracerConfig tcfg;
-    tcfg.ring_capacity = opt.trace_ring;
-    tcfg.snaplen = opt.trace_snap;
-    tcfg.pcap_path = opt.trace_file;
-    tracer = std::make_unique<trace::Tracer>(&sim, tcfg);
-    if (!tracer->pcap_ok()) {
-      std::fprintf(stderr, "cannot open trace file %s\n", opt.trace_file.c_str());
-      return 2;
-    }
-    trace_install = std::make_unique<trace::ScopedInstall>(tracer.get());
-  }
-  std::unique_ptr<ChannelMonitor> monitor;
-  if (opt.monitor) {
-    monitor = std::make_unique<ChannelMonitor>(
-        &sim, &channel,
-        [](const std::string& line) { std::printf("%s\n", line.c_str()); });
+    cfg.seed = opt.seed + host;
+    return cfg;
   }
 
-  constexpr std::size_t kBytes = 8 * 1024;
-  std::size_t received = 0;
-  b->tcp().Listen(5001, [&](TcpConnection* c) {
-    c->set_data_handler([&](const Bytes& d) { received += d.size(); });
-  });
-  TcpConnection* conn = a->tcp().Connect(IpV4Address(44, 24, 11, 2), 5001);
-  bool workload_ok = false;
-  if (conn != nullptr) {
-    conn->set_connected_handler([conn] { conn->Send(Bytes(kBytes, 0x42)); });
-    SimTime start = sim.Now();
-    while (received < kBytes && sim.Now() < Seconds(opt.duration) && sim.Step()) {
-    }
-    workload_ok = received >= kBytes;
-    if (workload_ok) {
-      double secs = ToSeconds(sim.Now() - start);
-      std::printf("transferred %zu bytes over VC (%.0f bps goodput, %llu rexmits)\n",
-                  received, received * 8.0 / secs,
-                  static_cast<unsigned long long>(conn->stats().retransmissions));
-    } else {
-      std::printf("VC transfer incomplete: %zu/%zu bytes\n", received, kBytes);
-    }
-  }
-
-  if (tracer != nullptr) {
-    tracer->Flush();
-    if (!workload_ok) {
-      trace::DumpActiveRing(stderr);
-    }
-  }
-
-  std::printf("\n=== channel ===\n");
-  std::printf("transmissions %llu, collisions %llu, utilization %.1f%%\n",
-              static_cast<unsigned long long>(channel.transmissions()),
-              static_cast<unsigned long long>(channel.collisions()),
-              channel.Utilization() * 100.0);
-  if (opt.netstat) {
-    std::printf("\n%s", FormatNetstat(a->stack()).c_str());
-    std::printf("%s", FormatAx25Link(a->vc()->link(), "vca/vc0").c_str());
-    std::printf("\n%s", FormatNetstat(b->stack()).c_str());
-    std::printf("%s", FormatAx25Link(b->vc()->link(), "vcb/vc0").c_str());
-    std::printf("\n%s", FormatBufStats().c_str());
-    if (tracer != nullptr) {
-      std::printf("\n%s", FormatTrace(*tracer).c_str());
-    }
-  }
-  std::printf("\nworkload vc: %s\n", workload_ok ? "completed" : "FAILED");
-  return workload_ok ? 0 : 1;
-}
+  Simulator sim_;
+  RadioChannel channel_;
+  VcStation a_;
+  VcStation b_;
+};
 
 // --- Live bridge workload ----------------------------------------------------
 //
@@ -397,136 +549,57 @@ int RunVcScenario(const Options& opt) {
 // client (callsign KD7EX, 44.24.11.9) can attach, set its KISS parameters,
 // open an LAPB circuit and ping the station — tools/kiss_client and
 // check.sh --interop exercise exactly that round.
-int RunLiveScenario(const Options& opt) {
-  if (!opt.record_faults.empty() || !opt.replay_faults.empty()) {
-    std::fprintf(stderr,
-                 "fault record/replay is not supported for --workload live\n");
-    return 2;
-  }
-  Simulator sim;
-  RealtimeConfig rtc;
-  rtc.time_scale = opt.time_scale;
-  RealtimeExecutor exec(&sim, rtc);
-  RadioChannelConfig rc;
-  rc.bit_rate = opt.rate;
-  rc.loss_rate = opt.loss;
-  rc.bit_error_rate = opt.ber;
-  RadioChannel channel(&sim, rc, opt.seed);
-
-  // The resident station. Persistence 1.0 and zero turnaround remove the
-  // MAC's random defers, so for a lockstep client the exchange is the same
-  // frame for frame run after run (the interop golden depends on that); t1
-  // is generous because the peer runs on its own wall clock.
-  VcStationConfig cfg;
-  cfg.name = "live";
-  cfg.callsign = "KD7AA";
-  cfg.ip = IpV4Address(44, 24, 11, 1);
-  cfg.serial_baud = static_cast<std::uint32_t>(opt.rate);
-  cfg.link.t1 = Seconds(30);
-  cfg.link.n2 = 40;
-  cfg.mac.persistence = 1.0;
-  cfg.mac.slot_time = Milliseconds(50);
-  cfg.mac.tx_delay = Milliseconds(50);
-  cfg.seed = opt.seed + 1;
-  VcStation station(&sim, &channel, cfg);
-  station.vc()->MapIpToCallsign(IpV4Address(44, 24, 11, 9),
-                                *Ax25Address::Parse("KD7EX"));
-
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<trace::ScopedInstall> trace_install;
-  if (opt.trace_enabled) {
-    trace::TracerConfig tcfg;
-    tcfg.ring_capacity = opt.trace_ring;
-    tcfg.snaplen = opt.trace_snap;
-    tcfg.pcap_path = opt.trace_file;
-    tracer = std::make_unique<trace::Tracer>(&sim, tcfg);
-    if (!tracer->pcap_ok()) {
-      std::fprintf(stderr, "cannot open trace file %s\n", opt.trace_file.c_str());
-      return 2;
-    }
-    trace_install = std::make_unique<trace::ScopedInstall>(tracer.get());
-  }
-  std::unique_ptr<ChannelMonitor> monitor;
-  if (opt.monitor) {
-    monitor = std::make_unique<ChannelMonitor>(
-        &sim, &channel,
-        [](const std::string& line) { std::printf("%s\n", line.c_str()); });
+class LiveScene : public Scene {
+ public:
+  explicit LiveScene(const Options& options)
+      : Scene("live", options, &sim_, {&channel_}),
+        channel_(&sim_, ChannelConfig(options), options.seed),
+        station_(&sim_, &channel_, StationConfig(options)) {
+    station_.vc()->MapIpToCallsign(IpV4Address(44, 24, 11, 9), *Ax25Address::Parse("KD7EX"));
   }
 
-  auto make_port = [&](const std::string& name, std::uint64_t salt) {
-    bridge::BridgePortConfig bc;
-    bc.name = name;
-    bc.serial.baud_rate = static_cast<std::uint32_t>(opt.rate);
-    if (opt.silo > 0) {
-      bc.serial.mode = SerialLineConfig::Mode::kSilo;
-      bc.serial.silo_depth = opt.silo;
+  int Run() override {
+    if (!opt.bridge_pty.empty()) {
+      pty_port_ = MakePort(opt.bridge_pty, 11);
+      pty_ = std::make_unique<bridge::PtyBridge>(rt, pty_port_.get());
+      if (!pty_->ok()) {
+        std::fprintf(stderr, "cannot allocate a PTY for %s\n", opt.bridge_pty.c_str());
+        return 2;
+      }
+      std::printf("bridge %s: pty %s\n", opt.bridge_pty.c_str(), pty_->slave_path().c_str());
     }
-    bc.tnc.mac = cfg.mac;
-    bc.seed = opt.seed * 100 + salt;
-    return std::make_unique<bridge::BridgePort>(&exec, &channel, bc);
-  };
-  std::unique_ptr<bridge::BridgePort> pty_port;
-  std::unique_ptr<bridge::PtyBridge> pty;
-  if (!opt.bridge_pty.empty()) {
-    pty_port = make_port(opt.bridge_pty, 11);
-    pty = std::make_unique<bridge::PtyBridge>(&exec, pty_port.get());
-    if (!pty->ok()) {
-      std::fprintf(stderr, "cannot allocate a PTY for %s\n",
-                   opt.bridge_pty.c_str());
-      return 2;
+    if (!opt.bridge_tcp_name.empty()) {
+      tcp_port_ = MakePort(opt.bridge_tcp_name, 12);
+      tcp_ = std::make_unique<bridge::TcpKissListener>(rt, tcp_port_.get(), opt.bridge_tcp_port);
+      if (!tcp_->ok()) {
+        std::fprintf(stderr, "cannot listen on 127.0.0.1:%u\n",
+                     static_cast<unsigned>(opt.bridge_tcp_port));
+        return 2;
+      }
+      std::printf("bridge %s: listening on 127.0.0.1:%u\n",
+                  opt.bridge_tcp_name.c_str(),
+                  static_cast<unsigned>(tcp_->port()));
     }
-    std::printf("bridge %s: pty %s\n", opt.bridge_pty.c_str(),
-                pty->slave_path().c_str());
-  }
-  std::unique_ptr<bridge::BridgePort> tcp_port;
-  std::unique_ptr<bridge::TcpKissListener> tcp;
-  if (!opt.bridge_tcp_name.empty()) {
-    tcp_port = make_port(opt.bridge_tcp_name, 12);
-    tcp = std::make_unique<bridge::TcpKissListener>(&exec, tcp_port.get(),
-                                                    opt.bridge_tcp_port);
-    if (!tcp->ok()) {
-      std::fprintf(stderr, "cannot listen on 127.0.0.1:%u\n",
-                   static_cast<unsigned>(opt.bridge_tcp_port));
-      return 2;
-    }
-    std::printf("bridge %s: listening on 127.0.0.1:%u\n",
-                opt.bridge_tcp_name.c_str(), static_cast<unsigned>(tcp->port()));
-  }
-  // The interop driver greps these lines to find the attach point.
-  std::fflush(stdout);
+    // The interop driver greps these lines to find the attach point.
+    std::fflush(stdout);
 
-  // Success: the external client got at least one echo answered by the
-  // station's ICMP. A TCP client that has done its round and hung up ends
-  // the run early; a PTY session (kissattach stays open) runs to --duration.
-  auto answered = [&] { return station.stack().icmp().echoes_answered() > 0; };
-  auto done = [&]() -> bool {
-    if (!answered()) {
-      return false;
-    }
-    return tcp_port != nullptr && tcp_port->stats().disconnects > 0 &&
-           !tcp_port->attached();
-  };
-  exec.RunUntil(Seconds(opt.duration), done);
-  const bool workload_ok = answered();
-
-  if (tracer != nullptr) {
-    tracer->Flush();
-    if (!workload_ok) {
-      trace::DumpActiveRing(stderr);
-    }
+    // Success: the external client got at least one echo answered by the
+    // station's ICMP. A TCP client that has done its round and hung up ends
+    // the run early; a PTY session (kissattach stays open) runs to --duration.
+    auto answered = [&] { return station_.stack().icmp().echoes_answered() > 0; };
+    rt->RunUntil(Seconds(opt.duration), [&] {
+      return answered() && tcp_port_ != nullptr &&
+             tcp_port_->stats().disconnects > 0 && !tcp_port_->attached();
+    });
+    return answered() ? 0 : 1;
   }
 
-  std::printf("\n=== channel ===\n");
-  std::printf("transmissions %llu, collisions %llu, utilization %.1f%%\n",
-              static_cast<unsigned long long>(channel.transmissions()),
-              static_cast<unsigned long long>(channel.collisions()),
-              channel.Utilization() * 100.0);
-  if (opt.netstat) {
-    std::printf("\n%s", FormatNetstat(station.stack()).c_str());
-    std::printf("%s", FormatAx25Link(station.vc()->link(), "live/vc0").c_str());
-    std::printf("%s", FormatSerial(station.serial(), "live com0").c_str());
-    std::printf("%s", FormatTnc(station.tnc(), "live tnc").c_str());
-    for (bridge::BridgePort* port : {pty_port.get(), tcp_port.get()}) {
+  void Netstat() override {
+    std::printf("\n%s", FormatNetstat(station_.stack()).c_str());
+    std::printf("%s", FormatAx25Link(station_.vc()->link(), "live/vc0").c_str());
+    std::printf("%s", FormatSerial(station_.serial(), "live com0").c_str());
+    std::printf("%s", FormatTnc(station_.tnc(), "live tnc").c_str());
+    for (bridge::BridgePort* port : {pty_port_.get(), tcp_port_.get()}) {
       if (port == nullptr) {
         continue;
       }
@@ -534,21 +607,54 @@ int RunLiveScenario(const Options& opt) {
       std::printf("%s", FormatTnc(port->tnc(), port->name() + " tnc").c_str());
       std::printf("%s", bridge::FormatBridge(*port).c_str());
     }
-    const RealtimeStats& rs = exec.stats();
+    const RealtimeStats& rs = rt->stats();
     std::printf("\nrealtime: %llu polls, %llu fd dispatches, %llu events, "
                 "max lag %.3f ms\n",
                 static_cast<unsigned long long>(rs.polls),
                 static_cast<unsigned long long>(rs.fd_dispatches),
                 static_cast<unsigned long long>(rs.events_executed),
                 ToSeconds(rs.max_lag) * 1e3);
-    std::printf("\n%s", FormatBufStats().c_str());
-    if (tracer != nullptr) {
-      std::printf("\n%s", FormatTrace(*tracer).c_str());
-    }
+    PrintBufTraceFaults();
   }
-  std::printf("\nworkload live: %s\n", workload_ok ? "completed" : "FAILED");
-  return workload_ok ? 0 : 1;
-}
+
+ private:
+  // Persistence 1.0 and zero turnaround remove the MAC's random defers, so
+  // for a lockstep client the exchange is the same frame for frame run after
+  // run (the interop golden depends on that); t1 is generous because the
+  // peer runs on its own wall clock.
+  static VcStationConfig StationConfig(const Options& opt) {
+    VcStationConfig cfg;
+    cfg.name = "live";
+    cfg.callsign = "KD7AA";
+    cfg.ip = IpV4Address(44, 24, 11, 1);
+    cfg.serial_baud = static_cast<std::uint32_t>(opt.rate);
+    cfg.link.t1 = Seconds(30);
+    cfg.link.n2 = 40;
+    cfg.mac.persistence = 1.0;
+    cfg.mac.slot_time = Milliseconds(50);
+    cfg.mac.tx_delay = Milliseconds(50);
+    cfg.seed = opt.seed + 1;
+    return cfg;
+  }
+
+  std::unique_ptr<bridge::BridgePort> MakePort(const std::string& port_name, std::uint64_t salt) {
+    bridge::BridgePortConfig bc;
+    bc.name = port_name;
+    bc.serial = SerialConfig(opt);
+    bc.serial.baud_rate = static_cast<std::uint32_t>(opt.rate);
+    bc.tnc.mac = StationConfig(opt).mac;
+    bc.seed = opt.seed * 100 + salt;
+    return std::make_unique<bridge::BridgePort>(rt, &channel_, bc);
+  }
+
+  Simulator sim_;
+  RadioChannel channel_;
+  VcStation station_;
+  std::unique_ptr<bridge::BridgePort> pty_port_;
+  std::unique_ptr<bridge::PtyBridge> pty_;
+  std::unique_ptr<bridge::BridgePort> tcp_port_;
+  std::unique_ptr<bridge::TcpKissListener> tcp_;
+};
 
 // --- City-scale topology (ISSUE 8) ------------------------------------------
 //
@@ -556,23 +662,9 @@ int RunLiveScenario(const Options& opt) {
 // channels of S stations behind per-channel gateways and a trunk backbone,
 // executed per the sharding mode — one shared queue (--unsharded), the
 // default single-thread sharded merge, or conservative parallel DES
-// (--parallel N). Tracing: the serial modes write one pcapng through a
-// tracer whose clock follows the executing shard; parallel mode writes one
-// file per shard (FILE.shard<k>.pcapng), each tracer installed thread-local
-// on the shard's worker.
-int RunCityScenario(const Options& opt) {
-  if (!opt.record_faults.empty() || !opt.replay_faults.empty()) {
-    std::fprintf(stderr, "fault record/replay is not supported for --topo\n");
-    return 2;
-  }
-  if (opt.monitor) {
-    std::fprintf(stderr, "--monitor is not supported for --topo\n");
-    return 2;
-  }
-  if (opt.parallel > 0 && opt.unsharded) {
-    std::fprintf(stderr, "--parallel and --unsharded are exclusive\n");
-    return 2;
-  }
+// (--parallel N). The city reports each channel's traffic in its own
+// summary table, so its scene lists no channels for the one-channel summary.
+topo::CityConfig CityConfigFor(const Options& opt) {
   topo::CityConfig cfg;
   cfg.spec = opt.city_spec;
   cfg.mode = opt.unsharded ? ShardSet::Mode::kUnified
@@ -581,180 +673,133 @@ int RunCityScenario(const Options& opt) {
   cfg.threads = opt.parallel > 0 ? opt.parallel : 1;
   cfg.seed = opt.seed;
   cfg.radio_bit_rate = opt.rate;
-  if (opt.silo > 0) {
-    cfg.serial.mode = SerialLineConfig::Mode::kSilo;
-    cfg.serial.silo_depth = opt.silo;
-  }
-  topo::CityTopology city(cfg);
-  if (!city.BackboneConnected()) {
-    std::fprintf(stderr, "generated backbone is not connected (bug)\n");
-    return 1;
+  cfg.serial = SerialConfig(opt);
+  return cfg;
+}
+
+class CityScene : public Scene {
+ public:
+  explicit CityScene(const Options& options)
+      : Scene("city", options, nullptr, {}), city_(CityConfigFor(options)) {
+    shards = &city_.shards();
   }
 
-  // Tracing. Serial modes: one file, clock override follows the merge
-  // cursor. Parallel: one tracer per shard, installed thread_local by the
-  // shard-enter hook so concurrent shards never share a tracer.
-  std::unique_ptr<trace::Tracer> tracer;
-  std::unique_ptr<trace::ScopedInstall> trace_install;
-  std::vector<std::unique_ptr<trace::Tracer>> shard_tracers;
-  if (opt.trace_enabled) {
-    trace::TracerConfig tcfg;
-    tcfg.ring_capacity = opt.trace_ring;
-    tcfg.snaplen = opt.trace_snap;
-    if (cfg.mode != ShardSet::Mode::kParallel) {
-      tcfg.pcap_path = opt.trace_file;
-      tracer = std::make_unique<trace::Tracer>(city.shards().shard(0), tcfg);
-      if (!opt.trace_file.empty() && !tracer->pcap_ok()) {
-        std::fprintf(stderr, "cannot open trace file %s\n",
-                     opt.trace_file.c_str());
-        return 2;
-      }
-      ShardSet* set = &city.shards();
-      tracer->set_clock([set] { return set->CurrentTime(); });
-      trace_install = std::make_unique<trace::ScopedInstall>(tracer.get());
-    } else {
-      std::string base = opt.trace_file;
-      const std::string ext = ".pcapng";
-      if (base.size() > ext.size() &&
-          base.compare(base.size() - ext.size(), ext.size(), ext) == 0) {
-        base.resize(base.size() - ext.size());
-      }
-      for (std::size_t k = 0; k < city.shards().shard_count(); ++k) {
-        trace::TracerConfig per = tcfg;
-        if (!opt.trace_file.empty()) {
-          per.pcap_path = base + ".shard" + std::to_string(k) + ext;
-        }
-        auto t = std::make_unique<trace::Tracer>(city.shards().shard(k), per);
-        if (!per.pcap_path.empty() && !t->pcap_ok()) {
-          std::fprintf(stderr, "cannot open trace file %s\n",
-                       per.pcap_path.c_str());
-          return 2;
-        }
-        shard_tracers.push_back(std::move(t));
-      }
-      // Warm the panic-hook registration on the main thread before workers
-      // race to Install their shard tracers.
-      trace::Install(nullptr);
-      auto* tracers = &shard_tracers;
-      city.shards().set_shard_enter_hook(
-          [tracers](std::size_t k) { trace::Install((*tracers)[k].get()); });
+  int Run() override {
+    if (!city_.BackboneConnected()) {
+      std::fprintf(stderr, "generated backbone is not connected (bug)\n");
+      return 1;
     }
+    executed_ = city_.Run(Seconds(opt.duration));
+    std::printf("%s", city_.FormatSummary().c_str());
+    const topo::ChannelTraffic total = city_.TrafficTotal();
+    return total.pings_sent > 0 && total.pings_ok > 0 ? 0 : 1;
   }
 
-  const std::size_t executed = city.Run(Seconds(opt.duration));
-
-  if (tracer != nullptr) {
-    tracer->Flush();
-  }
-  for (auto& t : shard_tracers) {
-    t->Flush();
-  }
-
-  const topo::ChannelTraffic total = city.TrafficTotal();
-  const bool workload_ok = total.pings_sent > 0 && total.pings_ok > 0;
-
-  std::printf("%s", city.FormatSummary().c_str());
-  if (opt.netstat) {
-    const ShardStats stats = city.shards().stats();
+  void Netstat() override {
+    const ShardSet& set = city_.shards();
+    const ShardStats stats = set.stats();
     std::printf(
         "shards %zu mode %s threads %d lookahead %lld ns\n"
         "events executed %zu scheduled %llu\n"
         "handoffs posted %llu injected %llu ring-overflow %llu windows %llu "
         "merge-steps %llu\n",
-        city.shards().shard_count(),
-        cfg.mode == ShardSet::Mode::kUnified    ? "unsharded"
-        : cfg.mode == ShardSet::Mode::kParallel ? "parallel"
-                                                : "sharded",
-        city.shards().threads(), static_cast<long long>(city.lookahead()),
-        executed,
-        static_cast<unsigned long long>(city.shards().TotalEventsScheduled()),
+        set.shard_count(),
+        set.mode() == ShardSet::Mode::kUnified    ? "unsharded"
+        : set.mode() == ShardSet::Mode::kParallel ? "parallel"
+                                                  : "sharded",
+        set.threads(), static_cast<long long>(city_.lookahead()), executed_,
+        static_cast<unsigned long long>(set.TotalEventsScheduled()),
         static_cast<unsigned long long>(stats.posted),
         static_cast<unsigned long long>(stats.injected),
         static_cast<unsigned long long>(stats.ring_overflow),
         static_cast<unsigned long long>(stats.windows),
         static_cast<unsigned long long>(stats.merge_steps));
   }
-  std::printf("\nworkload city: %s\n", workload_ok ? "completed" : "FAILED");
-  return workload_ok ? 0 : 1;
+
+ private:
+  topo::CityTopology city_;
+  std::size_t executed_ = 0;
+};
+
+// --- The harness -------------------------------------------------------------
+
+template <typename S>
+std::unique_ptr<Scene> Build(const Options& opt) {
+  return std::make_unique<S>(opt);
 }
 
-}  // namespace
+// A workload's builder and the flags it honours, beyond the ones every scene
+// does. Faults are recorded and replayed only where one Simulator stamps
+// every decision (fault::Session), so not on the sharded city, and never on
+// a run paced by the wall clock, which cannot be replayed.
+struct SceneKind {
+  const char* flags;
+  std::unique_ptr<Scene> (*build)(const Options&);
+};
+constexpr const char* kEverySceneFlags =
+    " --seed --duration --rate --log --netstat --trace --trace-ring --trace-snap ";
+constexpr SceneKind kTestbedKind = {
+    " --workload --pcs --hosts --digis --loss --ber --filter --access-control --silo --monitor"
+    " --realtime --time-scale --record-faults --replay-faults ",
+    Build<TestbedScene>};
+constexpr SceneKind kVcKind = {
+    " --workload --loss --ber --ax25 --maxframe --monitor --record-faults --replay-faults ",
+    Build<VcScene>};
+constexpr SceneKind kLiveKind = {
+    " --workload --loss --ber --silo --monitor --realtime --time-scale --bridge-pty --bridge-tcp ",
+    Build<LiveScene>};
+constexpr SceneKind kCityKind = {" --topo --silo --parallel --unsharded ", Build<CityScene>};
 
-int main(int argc, char** argv) {
-  Options opt;
-  if (!ParseOptions(argc, argv, &opt)) {
-    Usage(argv[0]);
-    return 2;
+// Serial scenes get one tracer, installed for the run; a sharded scene's
+// tracer stamps entries from the executing shard's clock. A parallel city
+// gets one tracer per shard (FILE.shard<k>.pcapng), installed thread-local
+// by the shard-enter hook so concurrent shards never share one.
+bool StartTracers(const Options& opt, Scene& scene,
+                  std::vector<std::unique_ptr<trace::Tracer>>* tracers,
+                  std::unique_ptr<trace::ScopedInstall>* install) {
+  ShardSet* set = scene.shards;
+  const bool parallel = set != nullptr && set->mode() == ShardSet::Mode::kParallel;
+  std::string base = opt.trace_file;
+  const std::string ext = ".pcapng";
+  if (base.size() > ext.size() && base.ends_with(ext)) {
+    base.resize(base.size() - ext.size());
   }
-  if (opt.log == "trace") {
-    SetLogLevel(LogLevel::kTrace);
-  } else if (opt.log == "debug") {
-    SetLogLevel(LogLevel::kDebug);
-  } else if (opt.log == "info") {
-    SetLogLevel(LogLevel::kInfo);
-  }
-  if (opt.pcs == 0) {
-    std::fprintf(stderr, "need at least one radio PC\n");
-    return 2;
-  }
-  if (!opt.record_faults.empty() && !opt.replay_faults.empty()) {
-    std::fprintf(stderr, "--record-faults and --replay-faults are exclusive\n");
-    return 2;
-  }
-  if (opt.topo.empty() && (opt.parallel > 0 || opt.unsharded)) {
-    std::fprintf(stderr, "--parallel/--unsharded need --topo\n");
-    return 2;
-  }
-  const bool has_bridge =
-      !opt.bridge_pty.empty() || !opt.bridge_tcp_name.empty();
-  if (opt.time_scale != 1.0 && !opt.realtime) {
-    std::fprintf(stderr, "--time-scale needs --realtime\n");
-    return 2;
-  }
-  if (has_bridge && opt.workload != "live") {
-    std::fprintf(stderr, "--bridge-pty/--bridge-tcp need --workload live\n");
-    return 2;
-  }
-  if (opt.realtime && (!opt.topo.empty() || opt.workload == "vc")) {
-    std::fprintf(stderr,
-                 "--realtime is not supported for --topo or --workload vc\n");
-    return 2;
-  }
-  if (opt.workload == "live") {
-    if (!opt.realtime) {
-      std::fprintf(stderr, "--workload live needs --realtime\n");
-      return 2;
+  const std::size_t count = parallel ? set->shard_count() : 1;
+  for (std::size_t k = 0; k < count; ++k) {
+    trace::TracerConfig tcfg;
+    tcfg.ring_capacity = opt.trace_ring;
+    tcfg.snaplen = opt.trace_snap;
+    tcfg.pcap_path = parallel && !opt.trace_file.empty() ? base + ".shard" + std::to_string(k) + ext
+                                                         : opt.trace_file;
+    tracers->push_back(
+        std::make_unique<trace::Tracer>(set != nullptr ? set->shard(k) : scene.sim, tcfg));
+    if (!tracers->back()->pcap_ok()) {
+      std::fprintf(stderr, "cannot open trace file %s\n", tcfg.pcap_path.c_str());
+      return false;
     }
-    if (!has_bridge) {
-      std::fprintf(stderr,
-                   "--workload live needs --bridge-pty and/or --bridge-tcp\n");
-      return 2;
+  }
+  if (!parallel) {
+    if (set != nullptr) {
+      tracers->front()->set_clock([set] { return set->CurrentTime(); });
     }
-    return RunLiveScenario(opt);
+    *install = std::make_unique<trace::ScopedInstall>(tracers->front().get());
+    return true;
   }
-  if (!opt.topo.empty()) {
-    return RunCityScenario(opt);
-  }
-  if (opt.workload == "vc") {
-    return RunVcScenario(opt);
-  }
+  // Warm the panic-hook registration on the main thread before workers race
+  // to Install their shard tracers.
+  trace::Install(nullptr);
+  set->set_shard_enter_hook([tracers](std::size_t k) { trace::Install((*tracers)[k].get()); });
+  return true;
+}
 
-  TestbedConfig cfg;
-  cfg.radio_pcs = opt.pcs;
-  cfg.ether_hosts = opt.hosts;
-  cfg.digipeaters = opt.digis;
-  cfg.radio_bit_rate = opt.rate;
-  cfg.radio_loss_rate = opt.loss;
-  cfg.radio_bit_error_rate = opt.ber;
-  cfg.tnc_address_filter = opt.tnc_filter;
-  cfg.enforce_access_control = opt.access_control;
-  cfg.seed = opt.seed;
-  if (opt.silo > 0) {
-    cfg.serial.mode = SerialLineConfig::Mode::kSilo;
-    cfg.serial.silo_depth = opt.silo;
-  }
-  Testbed tb(cfg);
-  tb.PopulateRadioArp();
+// Builds the scene and runs it: fault session, tracers, monitor, optional
+// wall-clock pacing, the run, flush (and the ring dump on failure), fault
+// report, channel summary, netstat, verdict and exit status.
+int RunScene(const Options& opt, const SceneKind& kind) {
+  // Declared before the scene so it outlives it: bridge ports unhook
+  // themselves from the executor when they are destroyed.
+  std::unique_ptr<RealtimeExecutor> rt;
+  std::unique_ptr<Scene> scene = kind.build(opt);
 
   // The fault session must be installed before any channel activity so the
   // schedule covers the whole run, frame zero onward.
@@ -771,147 +816,44 @@ int main(int argc, char** argv) {
       std::printf("replaying fault schedule: %zu decisions (%s)\n",
                   schedule->events.size(), schedule->meta.c_str());
     }
-    faults = std::make_unique<fault::Session>(&tb.sim(), std::move(*schedule));
+    faults = std::make_unique<fault::Session>(scene->sim, std::move(*schedule));
   } else if (!opt.record_faults.empty()) {
-    faults = std::make_unique<fault::Session>(&tb.sim());
+    faults = std::make_unique<fault::Session>(scene->sim);
   }
-  std::unique_ptr<fault::ScopedInstall> fault_install;
-  if (faults != nullptr) {
-    fault_install = std::make_unique<fault::ScopedInstall>(faults.get());
-  }
+  fault::ScopedInstall fault_install(faults.get());
 
-  std::unique_ptr<trace::Tracer> tracer;
+  std::vector<std::unique_ptr<trace::Tracer>> tracers;
   std::unique_ptr<trace::ScopedInstall> trace_install;
-  if (opt.trace_enabled) {
-    trace::TracerConfig tcfg;
-    tcfg.ring_capacity = opt.trace_ring;
-    tcfg.snaplen = opt.trace_snap;
-    tcfg.pcap_path = opt.trace_file;
-    tracer = std::make_unique<trace::Tracer>(&tb.sim(), tcfg);
-    if (!tracer->pcap_ok()) {
-      std::fprintf(stderr, "cannot open trace file %s\n", opt.trace_file.c_str());
-      return 2;
-    }
-    trace_install = std::make_unique<trace::ScopedInstall>(tracer.get());
+  if (opt.trace_enabled && !StartTracers(opt, *scene, &tracers, &trace_install)) {
+    return 2;
   }
 
-  std::unique_ptr<ChannelMonitor> monitor;
+  std::vector<std::unique_ptr<ChannelMonitor>> monitors;
   if (opt.monitor) {
-    monitor = std::make_unique<ChannelMonitor>(
-        &tb.sim(), &tb.channel(),
-        [](const std::string& line) { std::printf("%s\n", line.c_str()); });
+    for (RadioChannel* channel : scene->channels) {
+      monitors.push_back(std::make_unique<ChannelMonitor>(
+          scene->sim, channel, [](const std::string& line) { std::printf("%s\n", line.c_str()); }));
+    }
   }
 
   // --realtime swaps only the run loop: the schedule, seeds and stats are
   // those of the deterministic path, just paced against the wall clock.
-  std::unique_ptr<RealtimeExecutor> rt;
   if (opt.realtime) {
-    RealtimeConfig rtc;
-    rtc.time_scale = opt.time_scale;
-    rt = std::make_unique<RealtimeExecutor>(&tb.sim(), rtc);
+    rt = std::make_unique<RealtimeExecutor>(
+        scene->sim, RealtimeConfig{.time_scale = opt.time_scale});
   }
 
-  bool workload_ok = false;
-  std::unique_ptr<TelnetServer> telnetd;
-  std::unique_ptr<TelnetClient> telnet;
-
-  IpV4Address target = opt.hosts > 0 ? Testbed::EtherHostIp(0)
-                                     : Testbed::RadioPcIp(opt.pcs > 1 ? 1 : 0);
-
-  if (opt.workload == "ping") {
-    int replies = 0, wanted = 3;
-    std::function<void(int)> ping = [&](int remaining) {
-      if (remaining == 0) {
-        return;
-      }
-      tb.pc(0).stack().icmp().Ping(target, 32, [&, remaining](bool ok, SimTime rtt) {
-        if (ok) {
-          ++replies;
-          std::printf("reply from %s: time=%.2f s\n", target.ToString().c_str(),
-                      ToSeconds(rtt));
-        } else {
-          std::printf("ping timed out\n");
-        }
-        ping(remaining - 1);
-      });
-    };
-    ping(wanted);
-    if (rt != nullptr) {
-      rt->RunUntil(Seconds(opt.duration), [&] { return replies == wanted; });
-    } else {
-      tb.sim().RunUntil(Seconds(opt.duration));
-    }
-    workload_ok = replies == wanted;
-  } else if (opt.workload == "tcp") {
-    constexpr std::size_t kBytes = 8 * 1024;
-    std::size_t received = 0;
-    NetStack* sink_stack;
-    Tcp* sink;
-    if (opt.hosts > 0) {
-      sink = &tb.host(0).tcp();
-      sink_stack = &tb.host(0).stack();
-    } else {
-      sink = &tb.pc(opt.pcs > 1 ? 1 : 0).tcp();
-      sink_stack = nullptr;
-    }
-    (void)sink_stack;
-    sink->Listen(5001, [&](TcpConnection* c) {
-      c->set_data_handler([&](const Bytes& d) { received += d.size(); });
-    });
-    TcpConnection* conn = tb.pc(0).tcp().Connect(target, 5001);
-    if (conn != nullptr) {
-      conn->set_connected_handler([conn] { conn->Send(Bytes(kBytes, 0x42)); });
-      SimTime start = tb.sim().Now();
-      if (rt != nullptr) {
-        rt->RunUntil(Seconds(opt.duration), [&] { return received >= kBytes; });
-      } else {
-        while (received < kBytes && tb.sim().Now() < Seconds(opt.duration) &&
-               tb.sim().Step()) {
-        }
-      }
-      workload_ok = received >= kBytes;
-      if (workload_ok) {
-        double secs = ToSeconds(tb.sim().Now() - start);
-        std::printf("transferred %zu bytes (%.0f bps goodput, %llu rexmits)\n",
-                    received, received * 8.0 / secs,
-                    static_cast<unsigned long long>(conn->stats().retransmissions));
-      } else {
-        std::printf("transfer incomplete: %zu/%zu bytes\n", received, kBytes);
-      }
-    }
-  } else if (opt.workload == "telnet") {
-    if (opt.hosts == 0) {
-      std::fprintf(stderr, "telnet workload needs --hosts >= 1\n");
-      return 2;
-    }
-    telnetd = std::make_unique<TelnetServer>(&tb.host(0).tcp(), "june");
-    telnet = std::make_unique<TelnetClient>(&tb.pc(0).tcp());
-    bool echoed = false;
-    telnet->set_line_handler([&](const std::string& line) {
-      std::printf("  [telnet] %s\n", line.c_str());
-      if (line.find("73 de uprsim") != std::string::npos) {
-        echoed = true;
-      }
-    });
-    telnet->Connect(Testbed::EtherHostIp(0), "operator");
-    tb.sim().Schedule(Seconds(opt.duration * 0.4),
-                      [&] { telnet->SendCommand("echo 73 de uprsim"); });
-    tb.sim().Schedule(Seconds(opt.duration * 0.8), [&] { telnet->Quit(); });
-    if (rt != nullptr) {
-      rt->RunUntil(Seconds(opt.duration));
-    } else {
-      tb.sim().RunUntil(Seconds(opt.duration));
-    }
-    workload_ok = echoed;
-  } else {
-    std::fprintf(stderr, "unknown workload %s\n", opt.workload.c_str());
+  scene->rt = rt.get();
+  const int status = scene->Run();
+  if (status == 2) {
     return 2;
   }
+  const bool workload_ok = status == 0;
 
-  if (tracer != nullptr) {
+  for (const auto& tracer : tracers) {
     tracer->Flush();
     if (!workload_ok) {
-      trace::DumpActiveRing(stderr);
+      std::fputs(tracer->FormatRing().c_str(), stderr);
     }
   }
 
@@ -922,9 +864,9 @@ int main(int argc, char** argv) {
       // self-describing.
       char meta[256];
       std::snprintf(meta, sizeof meta,
-                    "--pcs %zu --hosts %zu --digis %zu --rate %llu --loss %g "
-                    "--ber %g --workload %s --duration %g --seed %llu",
-                    opt.pcs, opt.hosts, opt.digis,
+                    "%s --rate %llu --loss %g --ber %g --workload %s "
+                    "--duration %g --seed %llu",
+                    scene->fault_meta.c_str(),
                     static_cast<unsigned long long>(opt.rate), opt.loss,
                     opt.ber, opt.workload.c_str(), opt.duration,
                     static_cast<unsigned long long>(opt.seed));
@@ -951,37 +893,84 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n=== channel ===\n");
-  std::printf("transmissions %llu, collisions %llu, utilization %.1f%%\n",
-              static_cast<unsigned long long>(tb.channel().transmissions()),
-              static_cast<unsigned long long>(tb.channel().collisions()),
-              tb.channel().Utilization() * 100.0);
-
-  if (opt.netstat) {
-    std::printf("\n%s", FormatNetstat(tb.gateway().stack()).c_str());
-    std::printf("%s", FormatGateway(tb.gateway().gateway()).c_str());
-    std::printf("%s", FormatSerial(tb.gateway().serial(), "microvax dz0").c_str());
-    std::printf("%s", FormatDriverStats(*tb.gateway().radio_if()).c_str());
-    for (std::size_t i = 0; i < opt.pcs; ++i) {
-      std::printf("\n%s", FormatNetstat(tb.pc(i).stack()).c_str());
-      std::printf("%s", FormatSerial(tb.pc(i).serial(),
-                                     "pc" + std::to_string(i) + " com0").c_str());
-      std::printf("%s", FormatDriverStats(*tb.pc(i).radio_if()).c_str());
-    }
-    std::printf("\n%s", FormatBufStats().c_str());
-    if (tracer != nullptr) {
-      std::printf("\n%s", FormatTrace(*tracer).c_str());
-    }
-    if (faults != nullptr) {
-      std::printf("\n%s", FormatFaults(*faults).c_str());
-    }
-    std::printf("\n%s", FormatSimulator(tb.sim()).c_str());
+  for (const RadioChannel* channel : scene->channels) {
+    std::printf("\n=== channel ===\n");
+    std::printf("transmissions %llu, collisions %llu, utilization %.1f%%\n",
+                static_cast<unsigned long long>(channel->transmissions()),
+                static_cast<unsigned long long>(channel->collisions()),
+                channel->Utilization() * 100.0);
   }
-
-  std::printf("\nworkload %s: %s\n", opt.workload.c_str(),
-              workload_ok ? "completed" : "FAILED");
+  if (opt.netstat) {
+    scene->tracer = tracers.empty() ? nullptr : tracers.front().get();
+    scene->faults = faults.get();
+    scene->Netstat();
+  }
+  std::printf("\nworkload %s: %s\n", scene->name.c_str(), workload_ok ? "completed" : "FAILED");
   if (!replay_clean) {
     return 3;
   }
   return workload_ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  if (!ParseOptions(argc, argv, &opt)) {
+    Usage(argv[0]);
+    return 2;
+  }
+  if (opt.log == "trace") {
+    SetLogLevel(LogLevel::kTrace);
+  } else if (opt.log == "debug") {
+    SetLogLevel(LogLevel::kDebug);
+  } else if (opt.log == "info") {
+    SetLogLevel(LogLevel::kInfo);
+  }
+  if (!opt.record_faults.empty() && !opt.replay_faults.empty()) {
+    std::fprintf(stderr, "--record-faults and --replay-faults are exclusive\n");
+    return 2;
+  }
+  const bool time_scale_given =
+      std::find(opt.given.begin(), opt.given.end(), "--time-scale") != opt.given.end();
+  if (time_scale_given && !opt.realtime) {
+    std::fprintf(stderr, "--time-scale needs --realtime\n");
+    return 2;
+  }
+  const bool testbed = opt.workload == "ping" || opt.workload == "tcp" || opt.workload == "telnet";
+  const SceneKind* kind = !opt.topo.empty()       ? &kCityKind
+                          : testbed               ? &kTestbedKind
+                          : opt.workload == "vc"   ? &kVcKind
+                          : opt.workload == "live" ? &kLiveKind
+                                                   : nullptr;
+  if (kind == nullptr) {
+    std::fprintf(stderr, "unknown workload %s\n", opt.workload.c_str());
+    return 2;
+  }
+  // A flag the workload would ignore is an error, never a silent no-op.
+  for (const std::string& flag : opt.given) {
+    const std::string padded = " " + flag + " ";
+    if (std::strstr(kEverySceneFlags, padded.c_str()) == nullptr &&
+        std::strstr(kind->flags, padded.c_str()) == nullptr) {
+      std::fprintf(stderr, "%s is not supported for %s\n", flag.c_str(),
+                   opt.topo.empty() ? ("--workload " + opt.workload).c_str()
+                                    : "--topo");
+      return 2;
+    }
+  }
+  if (opt.workload == "telnet" && opt.hosts == 0) {
+    std::fprintf(stderr, "telnet workload needs --hosts >= 1\n");
+    return 2;
+  }
+  if (opt.workload == "live" &&
+      (!opt.realtime || (opt.bridge_pty.empty() && opt.bridge_tcp_name.empty()))) {
+    std::fprintf(stderr, "--workload live needs --realtime and --bridge-pty "
+                         "and/or --bridge-tcp\n");
+    return 2;
+  }
+  if (opt.parallel > 0 && opt.unsharded) {
+    std::fprintf(stderr, "--parallel and --unsharded are exclusive\n");
+    return 2;
+  }
+  return RunScene(opt, *kind);
 }
