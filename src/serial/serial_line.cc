@@ -38,7 +38,47 @@ std::uint64_t SerialEndpoint::tx_room() const {
   if (cap == 0) {
     return UINT64_MAX;
   }
-  return backlog_ >= cap ? 0 : cap - backlog_;
+  const std::uint64_t queued = backlog();
+  return queued >= cap ? 0 : cap - queued;
+}
+
+bool SerialEndpoint::Runs() const {
+  return line_->depth_ == 1 && peer_->frame_end_.has_value();
+}
+
+std::size_t SerialEndpoint::Landed() const {
+  // Only a run's bytes land without an event of their own, and only in the
+  // head run: every later one closes behind the head's heap entry.
+  const Simulator* sim = line_->sim_;
+  const auto first = in_flight_.begin() + static_cast<std::ptrdiff_t>(in_flight_head_);
+  if (!Runs() || first == in_flight_.end() || !sim->Reached(first->when, first->seq)) {
+    return 0;
+  }
+  return static_cast<std::size_t>(
+      std::partition_point(first, in_flight_.end(), [sim](const PendingByte& p) {
+        return sim->Reached(p.when, p.seq);
+      }) - first);
+}
+
+void SerialEndpoint::TakeLanded() {
+  SerialEndpoint& tx = *peer_;
+  const std::size_t n = tx.Landed();
+  if (n == 0) {
+    return;
+  }
+  // Never the whole run: its closing byte lands in its own event. The rest
+  // of the run stays under that byte's key.
+  const auto first = tx.in_flight_.begin() + static_cast<std::ptrdiff_t>(tx.in_flight_head_);
+  Bytes chunk(n);
+  std::transform(first, first + static_cast<std::ptrdiff_t>(n), chunk.begin(),
+                 [](const PendingByte& p) { return p.byte; });
+  tx.in_flight_head_ += n;
+  tx.backlog_ -= n;
+  bytes_received_ += n;
+  deliveries_ += n;
+  if (on_bytes_) {
+    on_bytes_(chunk.data(), chunk.size());
+  }
 }
 
 void SerialEndpoint::ScheduleHead() {
@@ -79,11 +119,13 @@ void SerialEndpoint::DeliverHead() {
     in_flight_ = {};
     in_flight_head_ = 0;
   }
-  // The peer takes the receive interrupt.
+  // The peer takes the receive interrupt: one per byte of a run, which
+  // Write() recorded at each byte's own key.
+  const bool run = Runs();
   SerialEndpoint& rx = *peer_;
   rx.bytes_received_ += chunk.size();
-  ++rx.deliveries_;
-  if (auto* t = trace::Active()) {
+  rx.deliveries_ += run ? chunk.size() : 1;
+  if (auto* t = trace::Active(); t != nullptr && !run) {
     t->Record(trace::Layer::kSerial, trace::Kind::kSerialDeliver,
               trace::Dir::kRx, rx.name_, chunk);
   }
@@ -98,7 +140,7 @@ void SerialEndpoint::Write(ByteView bytes) {
   if (auto* t = trace::Active()) {
     t->Record(trace::Layer::kSerial, trace::Kind::kSerialEnqueue,
               trace::Dir::kTx, name_, bytes,
-              "backlog=" + std::to_string(backlog_));
+              "backlog=" + std::to_string(backlog()));
   }
   if (busy_until_ <= sim->Now()) {
     // Line idle: start a fresh timing epoch at now.
@@ -106,8 +148,15 @@ void SerialEndpoint::Write(ByteView bytes) {
     tx_epoch_ = sim->Now();
     tx_bytes_since_epoch_ = 0;
   }
+  // FIFO full: the DZ would overrun; the bytes past the cap drop with a
+  // stat instead of buffering without bound.
+  const std::size_t n = std::min<std::uint64_t>(bytes.size(), tx_room());
+  if (n != bytes.size()) {
+    ++overruns_;
+    bytes_dropped_ += bytes.size() - n;
+  }
   if (in_flight_.empty()) {
-    in_flight_.reserve(bytes.size());  // one allocation per idle-line burst
+    in_flight_.reserve(n);  // one allocation per idle-line burst
   } else if (2 * in_flight_head_ >= in_flight_.size()) {
     // A line that never drains: drop the delivered half. Each compaction
     // moves no more bytes than were delivered since the last, so O(1) per
@@ -120,17 +169,13 @@ void SerialEndpoint::Write(ByteView bytes) {
   // Only an open head changes its key below, so only then is its heap entry
   // stale.
   const bool rekey_head = open_ != 0 && open_ == in_flight_.size() - in_flight_head_;
-  // FIFO full: the DZ would overrun; the bytes past the cap drop with a
-  // stat instead of buffering without bound.
-  const std::size_t n = std::min<std::uint64_t>(bytes.size(), tx_room());
-  if (n != bytes.size()) {
-    ++overruns_;
-    bytes_dropped_ += bytes.size() - n;
-  }
   bytes_sent_ += n;
   backlog_ += n;
   const std::size_t depth = line_->depth_;
-  for (std::uint8_t b : bytes.first(n)) {
+  const bool runs = Runs();
+  trace::Tracer* tracer = runs ? trace::Active() : nullptr;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint8_t b = bytes[i];
     ++tx_bytes_since_epoch_;
     busy_until_ = tx_epoch_ + line_->transfer_time(tx_bytes_since_epoch_);
     if (open_ != 0) {
@@ -149,8 +194,19 @@ void SerialEndpoint::Write(ByteView bytes) {
       // A full silo takes its seq now, as a ScheduleAt() here would, so it
       // runs in the same place.
       open_ = 0;
-      ++events_scheduled_;
-      in_flight_.back().seq = sim->ReserveSeq();
+      PendingByte& p = in_flight_.back();
+      p.seq = sim->ReserveSeq();
+      // A run goes on to the receiver's frame end or this Write's last byte.
+      if (runs && b != *peer_->frame_end_ && i + 1 != n) {
+        p.ends_delivery = false;
+      } else {
+        ++events_scheduled_;
+      }
+      if (tracer != nullptr) {
+        tracer->RecordAt(sim, p.when, p.seq, trace::Layer::kSerial,
+                         trace::Kind::kSerialDeliver, trace::Dir::kRx, peer_->name_,
+                         ByteView(&p.byte, 1));
+      }
     }
   }
   if (open_ != 0) {

@@ -2,29 +2,41 @@
 // (figure 1 of the paper). Bytes move at the configured baud rate, 10 bits
 // per byte (8N1 framing).
 //
-// A direction hands its bytes to the far end in deliveries: each delivery
-// is one receive interrupt carrying a run of bytes. kSilo is the DH-style
-// silo the paper's §Performance points at as the cure for per-character
-// overhead: a run closes when `silo_depth` bytes fill it, or `silo_timeout`
-// after the line goes quiet (the DZ-11 silo alarm). kPerByte, the paper's
-// driver ("For each character in the packet, the tty driver calls the packet
-// radio interrupt handler", §2.2), is the same mechanism with a silo one
-// byte deep.
+// A direction hands its bytes to the far end in deliveries, each one heap
+// event carrying a run of bytes:
 //
-// A direction's deliveries wait in its own FIFO, each under the (when, seq)
-// key a ScheduleAt() of its own would have taken, and only the head sits in
-// the Simulator heap. A full silo takes its key when it fills; the open
-// partial silo is re-keyed at every Write(), as re-arming the silo alarm
-// would. Every delivery runs exactly where a heap entry of its own would
-// have run (DESIGN.md §8).
+//   * kSilo is the DH-style silo the paper's §Performance points at as the
+//     cure for per-character overhead: a delivery is one receive interrupt,
+//     closed when `silo_depth` bytes fill it or `silo_timeout` after the line
+//     goes quiet (the DZ-11 silo alarm).
+//   * kPerByte is the paper's driver ("For each character in the packet, the
+//     tty driver calls the packet radio interrupt handler", §2.2): one
+//     interrupt per byte, the same mechanism with a silo one byte deep.
 //
-// In either mode the byte stream, its ordering and its wire timing are
-// identical; only the number of delivery events (interrupts) changes.
+// A per-byte receiver that acts on its input only at a frame end (KissTnc
+// at FEND) says so when it registers its handler. Its bytes then still take
+// one interrupt each, but travel in runs: a run closes at every frame-end
+// byte and at the last byte of each Write(), so a KISS frame costs at most
+// two heap events instead of one per byte.
+//
+// Every byte takes the (when, seq) key a ScheduleAt() of its own would have
+// taken (a silo's key sits on its last byte and moves at every Write() while
+// it is open, as re-arming the silo alarm would). A direction's deliveries
+// wait in one FIFO and only the head sits in the Simulator heap, under its
+// closing byte's key, so every delivery runs exactly where a heap entry of
+// its own would have run (DESIGN.md §8). A run's other bytes land without
+// an event: backlog(), tx_room(), the receiver's bytes_received() and
+// deliveries(), and their kSerialDeliver trace records, follow each byte's
+// own key against the clock.
+//
+// In every mode the byte stream, its ordering and its wire timing are
+// identical; only the number of delivery events changes.
 #ifndef SRC_SERIAL_SERIAL_LINE_H_
 #define SRC_SERIAL_SERIAL_LINE_H_
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -61,8 +73,20 @@ class SerialEndpoint {
   using ChunkHandler = std::function<void(const std::uint8_t* data, std::size_t len)>;
 
   // Runs once per delivery event with every byte it carried (size 1 in
-  // per-byte mode, up to silo_depth in silo mode).
-  void set_receive_chunk_handler(ChunkHandler h) { on_bytes_ = std::move(h); }
+  // per-byte mode, up to silo_depth in silo mode). A receiver that acts only
+  // when `frame_end` arrives names it, and in per-byte mode then takes each
+  // run up to a frame end or a Write()'s last byte in one call.
+  void set_receive_chunk_handler(ChunkHandler h,
+                                 std::optional<std::uint8_t> frame_end = std::nullopt) {
+    on_bytes_ = std::move(h);
+    frame_end_ = frame_end;
+  }
+
+  // Hands the receive handler, now, the bytes of a run that have landed but
+  // wait for the run to close. A receiver about to reset its state at an
+  // instant of its own (KissTnc re-entering KISS mode) calls this first, so
+  // those bytes meet the state they would have met one event each.
+  void TakeLanded();
 
   // Queues bytes for transmission to the far end. Never blocks; the line
   // serializes output at the baud rate. Bytes beyond the configured
@@ -70,9 +94,9 @@ class SerialEndpoint {
   void Write(ByteView bytes);
 
   std::uint64_t bytes_sent() const { return bytes_sent_; }
-  std::uint64_t bytes_received() const { return bytes_received_; }
+  std::uint64_t bytes_received() const { return bytes_received_ + peer_->Landed(); }
   // Transmit-queue backlog in bytes not yet delivered to the peer.
-  std::uint64_t backlog() const { return backlog_; }
+  std::uint64_t backlog() const { return backlog_ - Landed(); }
   // Free transmit-FIFO capacity in bytes (UINT64_MAX when max_backlog is 0,
   // i.e. unbounded). Writers with an external flow-control lever — the live
   // bridge reading from a PTY/TCP fd — consume at most this much per burst,
@@ -83,14 +107,16 @@ class SerialEndpoint {
   // --- Interrupt-path instrumentation (experiment E5) ---------------------
   // Delivery events scheduled for this endpoint's outgoing bytes.
   std::uint64_t events_scheduled() const { return events_scheduled_; }
-  // Delivery events (receive interrupts) this endpoint has taken.
-  std::uint64_t deliveries() const { return deliveries_; }
-  // Mean received bytes per delivery event: 1.0 in per-byte mode, up to
+  // Receive interrupts this endpoint has taken: one per delivery event, or
+  // per byte of a run.
+  std::uint64_t deliveries() const { return deliveries_ + peer_->Landed(); }
+  // Mean received bytes per receive interrupt: 1.0 in per-byte mode, up to
   // silo_depth in silo mode.
   double bytes_per_event() const {
-    return deliveries_ == 0
+    const std::uint64_t interrupts = deliveries();
+    return interrupts == 0
                ? 0.0
-               : static_cast<double>(bytes_received_) / static_cast<double>(deliveries_);
+               : static_cast<double>(bytes_received()) / static_cast<double>(interrupts);
   }
   // Write() calls that hit the FIFO cap, and the bytes they lost.
   std::uint64_t overruns() const { return overruns_; }
@@ -107,11 +133,17 @@ class SerialEndpoint {
   // holds the key the delivery's own ScheduleAt() would have taken.
   struct PendingByte {
     SimTime when;       // land time (+ silo_timeout for an open silo's key)
-    std::uint64_t seq;  // reserved from the Simulator on a delivery's last byte
+    std::uint64_t seq;  // reserved on a silo's last byte, on every per-byte one
     std::uint8_t byte;
     bool ends_delivery;
   };
 
+  // Whether this direction's per-byte deliveries travel in runs: its
+  // receiver named a frame end.
+  bool Runs() const;
+  // Bytes of the head run the clock has passed: landed at the peer, not yet
+  // handed over.
+  std::size_t Landed() const;
   // Puts the FIFO's head delivery in the heap under its key, and lands it at
   // the peer when it runs.
   void ScheduleHead();
@@ -121,6 +153,7 @@ class SerialEndpoint {
   SerialEndpoint* peer_ = nullptr;
   std::string name_;
   ChunkHandler on_bytes_;
+  std::optional<std::uint8_t> frame_end_;  // the receive handler acts only here
   SimTime busy_until_ = 0;  // when this direction's last queued byte lands
   // Byte-accurate clock for this direction: bytes sent since `tx_epoch_`.
   // busy_until_ is recomputed as epoch + round(n * byte-time) each Write so

@@ -125,6 +125,7 @@ bool Simulator::Step() {
                 static_cast<unsigned long long>(top.seq),
                 static_cast<long long>(top.when), static_cast<long long>(now_));
   now_ = top.when;
+  now_seq_ = top.seq;
   ++executed_;
   // Move the closure out and recycle before running: the callback may
   // schedule new events, which must be free to reuse this slot.
@@ -140,8 +141,11 @@ std::size_t Simulator::RunUntil(SimTime deadline) {
     Step();
     ++n;
   }
-  if (now_ < deadline) {
+  if (now_ <= deadline) {
+    // Every event at or before the deadline has run, so has every key
+    // reserved so far at the deadline itself.
     now_ = deadline;
+    now_seq_ = next_seq_ - 1;
   }
   return n;
 }

@@ -87,6 +87,14 @@ class Simulator {
   std::uint64_t ReserveSeq() { return next_seq_++; }
   std::uint64_t ScheduleReserved(SimTime when, std::uint64_t seq, std::function<void()> fn);
 
+  // True once execution has reached the key (when, seq): an event under it
+  // has run or is the one running now. After RunUntil(t) every key at or
+  // before t that is already reserved counts as reached. A serial line asks
+  // this of the bytes it lands without an event of their own.
+  bool Reached(SimTime when, std::uint64_t seq) const {
+    return when < now_ || (when == now_ && seq <= now_seq_);
+  }
+
   // Cancels a pending event; a no-op if it already ran or was cancelled.
   // O(log n): the event leaves the heap and its pool slot recycles at once.
   void Cancel(std::uint64_t id);
@@ -171,6 +179,7 @@ class Simulator {
   void RemoveAt(std::size_t pos);
 
   SimTime now_ = 0;
+  std::uint64_t now_seq_ = 0;  // seq of the event running or last run
   std::uint64_t next_seq_ = 1;
   std::size_t executed_ = 0;
 

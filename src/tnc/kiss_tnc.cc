@@ -29,8 +29,10 @@ KissTnc::KissTnc(Simulator* sim, RadioChannel* channel, SerialEndpoint* serial,
       }) {
   port_ = channel->CreatePort("tnc:" + name_);
   mac_ = std::make_unique<CsmaMac>(sim, port_, config_.mac, seed);
+  // The decoder acts only at FEND, so the host's bytes can travel in runs.
   serial_->set_receive_chunk_handler(
-      [this](const std::uint8_t* data, std::size_t len) { OnSerialChunk(data, len); });
+      [this](const std::uint8_t* data, std::size_t len) { OnSerialChunk(data, len); },
+      kKissFend);
   port_->set_receive_handler(
       [this](const Bytes& wire, bool corrupted) { OnRadioReceive(wire, corrupted); });
 }
@@ -126,6 +128,8 @@ void KissTnc::EnterKissMode() {
   if (!kiss_mode_) {
     UPR_INFO(kTag, "%s: re-entering KISS mode", name_.c_str());
   }
+  // Bytes already landed reach the decoder before it resyncs.
+  serial_->TakeLanded();
   kiss_mode_ = true;
   decoder_.Reset();
   ++kiss_resyncs_;

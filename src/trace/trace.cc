@@ -1,5 +1,6 @@
 #include "src/trace/trace.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/trace/pcapng_writer.h"
@@ -146,13 +147,43 @@ Entry& Tracer::NextSlot() {
 
 void Tracer::Record(Layer layer, Kind kind, Dir dir, std::string_view iface,
                     ByteView data, std::string note) {
+  Settle();
+  Enter(NowForEntry(), layer, kind, dir, iface.empty() ? CurrentIf() : iface, data,
+        std::move(note));
+}
+
+void Tracer::RecordAt(const Simulator* sim, SimTime when, std::uint64_t seq,
+                      Layer layer, Kind kind, Dir dir, std::string_view iface,
+                      ByteView data) {
+  Pending p{when, seq, sim, {}};
+  p.entry.layer = layer;
+  p.entry.kind = kind;
+  p.entry.dir = dir;
+  p.entry.iface.assign(iface);
+  p.entry.data.assign(data.begin(), data.end());
+  pending_.push_back(std::move(p));
+  std::push_heap(pending_.begin(), pending_.end(), Later);
+}
+
+void Tracer::Settle() {
+  while (!pending_.empty() &&
+         pending_.front().sim->Reached(pending_.front().when, pending_.front().seq)) {
+    std::pop_heap(pending_.begin(), pending_.end(), Later);
+    const Entry& e = pending_.back().entry;
+    Enter(pending_.back().when, e.layer, e.kind, e.dir, e.iface, e.data, {});
+    pending_.pop_back();
+  }
+}
+
+void Tracer::Enter(SimTime ts, Layer layer, Kind kind, Dir dir,
+                   std::string_view iface, ByteView data, std::string note) {
   Entry& e = NextSlot();
-  e.ts = NowForEntry();
+  e.ts = ts;
   e.seq = seq_++;
   e.layer = layer;
   e.kind = kind;
   e.dir = dir;
-  e.iface.assign(iface.empty() ? CurrentIf() : iface);
+  e.iface.assign(iface);
   e.note = std::move(note);
   e.orig_len = static_cast<std::uint32_t>(data.size());
   std::size_t keep = data.size();
@@ -269,6 +300,7 @@ std::string Tracer::FormatRing() const {
 }
 
 void Tracer::Flush() {
+  Settle();
   if (pcap_ != nullptr) {
     pcap_->Flush();
     stats_.pcap_bytes = pcap_->bytes_written();
@@ -280,6 +312,7 @@ void DumpActiveRing(std::FILE* out) {
   if (t == nullptr) {
     return;
   }
+  t->Flush();
   std::string dump = t->FormatRing();
   std::fwrite(dump.data(), 1, dump.size(), out);
 }

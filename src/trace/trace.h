@@ -148,6 +148,15 @@ class Tracer {
   void RecordEtherFrame(Kind kind, Dir dir, std::string_view iface,
                         ByteView frame, std::string note = {});
 
+  // Records a crossing that happens at the key (when, seq) of `sim`, which
+  // execution may not have reached yet. The entry, stamped `when`, enters
+  // the ring at the first record or Flush() once `sim` has reached the key,
+  // so in the order an event of its own at that key would have put it. A
+  // serial line records this way the bytes it lands without an event each.
+  // `sim` must outlive the tracer's records and flushes.
+  void RecordAt(const Simulator* sim, SimTime when, std::uint64_t seq, Layer layer,
+                Kind kind, Dir dir, std::string_view iface, ByteView data);
+
   const TracerConfig& config() const { return config_; }
   const TraceStats& stats() const { return stats_; }
   // False when the pcap file could not be opened (stats keep counting).
@@ -158,11 +167,30 @@ class Tracer {
   // Human-readable dump of the ring (one line per entry), for failure paths.
   std::string FormatRing() const;
 
-  // Flushes buffered pcapng output to disk (also done on destruction).
+  // Enters every RecordAt() crossing its simulator has reached, then flushes
+  // buffered pcapng output to disk (also done on destruction). Read the ring
+  // and stats after a Flush().
   void Flush();
 
  private:
+  // A RecordAt() crossing its simulator has not reached yet.
+  struct Pending {
+    SimTime when;
+    std::uint64_t seq;
+    const Simulator* sim;
+    Entry entry;
+  };
+  // Min-heap order on (when, seq).
+  static bool Later(const Pending& a, const Pending& b) {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+  }
+
   Entry& NextSlot();
+  // Fills the next ring slot and counts it.
+  void Enter(SimTime ts, Layer layer, Kind kind, Dir dir, std::string_view iface,
+             ByteView data, std::string note);
+  // Enters the pending crossings whose keys their simulators have reached.
+  void Settle();
 
   SimTime NowForEntry() const { return clock_ ? clock_() : sim_->Now(); }
 
@@ -173,6 +201,7 @@ class Tracer {
   std::vector<Entry> ring_;     // grows to ring_capacity, then wraps
   std::size_t ring_next_ = 0;   // slot the next entry lands in (once full)
   std::uint64_t seq_ = 0;
+  std::vector<Pending> pending_;  // heap, earliest key at the front
   std::unique_ptr<PcapngWriter> pcap_;
 };
 

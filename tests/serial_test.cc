@@ -5,8 +5,12 @@
 #include <string>
 #include <vector>
 
+#include "src/kiss/kiss.h"
+#include "src/radio/channel.h"
 #include "src/serial/serial_line.h"
 #include "src/sim/simulator.h"
+#include "src/tnc/command_tnc.h"
+#include "src/trace/trace.h"
 
 namespace upr {
 namespace {
@@ -226,6 +230,203 @@ TEST(SerialOrderTest, BurstHoldsOneHeapEntryAndOneSeqPerByte) {
   EXPECT_EQ(sim.events_scheduled(), 100000u);
   EXPECT_EQ(sim.executed_events(), 100000u);
   EXPECT_LE(sim.pool_capacity(), 2u);
+}
+
+// --- Runs to a frame end -----------------------------------------------------
+//
+// A per-byte receiver that names a frame end (KissTnc at FEND) takes a run
+// of bytes per delivery: the run closes at every frame-end byte and at the
+// last byte of each Write(), and runs under its closing byte's key. Every
+// byte still holds its own key, and the counters read per byte against it.
+
+constexpr std::uint8_t kEnd = kKissFend;
+
+// Logs each delivery with its land time: "<bytes>@<ns>".
+struct RunLog {
+  Simulator* sim;
+  std::vector<std::string> runs;
+  void Receive(SerialEndpoint& ep) {
+    ep.set_receive_chunk_handler(
+        [this](const std::uint8_t* d, std::size_t n) {
+          std::string run;
+          for (std::size_t i = 0; i < n; ++i) {
+            run += d[i] == kEnd ? "|" : std::to_string(d[i]);
+          }
+          runs.push_back(run + "@" + std::to_string(sim->Now()));
+        },
+        kEnd);
+  }
+};
+
+std::string At(const std::string& run, std::uint64_t byte) {
+  return run + "@" + std::to_string(LandTime(byte, 9600));
+}
+
+// What a probe reads off a line at its instant.
+struct Reading {
+  std::uint64_t backlog, tx_room, received, deliveries;
+  bool operator==(const Reading&) const = default;
+};
+
+// Probes byte 4's land instant before and after the Write that carries it
+// (as ProbeScheduledBeforeWriteRunsBeforeByte does), on a line whose
+// receiver names `frame_end` or none.
+std::vector<Reading> ProbeByteFour(std::optional<std::uint8_t> frame_end) {
+  Simulator sim;
+  SerialLineConfig cfg;
+  cfg.max_backlog = 100;
+  SerialLine line(&sim, cfg);
+  line.b().set_receive_chunk_handler([](const std::uint8_t*, std::size_t) {}, frame_end);
+  std::vector<Reading> readings;
+  auto probe = [&] {
+    sim.ScheduleAt(LandTime(4, 9600), [&] {
+      readings.push_back({line.a().backlog(), line.a().tx_room(),
+                          line.b().bytes_received(), line.b().deliveries()});
+    });
+  };
+  line.a().Write(Bytes{1, 2});
+  probe();
+  line.a().Write(Bytes{3, 4, 5});
+  probe();
+  sim.RunAll();
+  return readings;
+}
+
+TEST(SerialRunTest, SameInstantProbesReadPerByteCounters) {
+  const std::vector<Reading> per_byte = ProbeByteFour(std::nullopt);
+  const std::vector<Reading> runs = ProbeByteFour(kEnd);
+  // Before byte 4 runs three bytes have landed; after it, four. Byte 4 is
+  // in the middle of the run 3,4,5, so only its key says which.
+  const std::vector<Reading> expected = {{2, 98, 3, 3}, {1, 99, 4, 4}};
+  EXPECT_EQ(per_byte, expected);
+  EXPECT_EQ(runs, expected);
+}
+
+TEST(SerialRunTest, FrameSplitAcrossWritesClosesAtItsFend) {
+  Simulator sim;
+  SerialLine line(&sim, 9600);
+  RunLog log{&sim, {}};
+  log.Receive(line.b());
+  line.a().Write(Bytes{kEnd, 1, 2});
+  line.a().Write(Bytes{3, kEnd});
+  sim.RunAll();
+  EXPECT_EQ(log.runs, (std::vector<std::string>{At("|", 1), At("12", 3), At("3|", 5)}));
+  EXPECT_EQ(line.a().events_scheduled(), 3u);
+  EXPECT_EQ(sim.executed_events(), 3u);
+  // One seq per byte, as per-byte delivery reserves.
+  EXPECT_EQ(sim.events_scheduled(), 5u);
+  EXPECT_EQ(line.b().deliveries(), 5u);
+  EXPECT_DOUBLE_EQ(line.b().bytes_per_event(), 1.0);
+}
+
+TEST(SerialRunTest, TwoFramesInOneWriteCloseSeparately) {
+  Simulator sim;
+  SerialLine line(&sim, 9600);
+  RunLog log{&sim, {}};
+  log.Receive(line.b());
+  // Probes at byte 4's instant (the first frame's closing FEND) count the
+  // runs delivered so far: one scheduled before the Write runs first.
+  std::vector<std::size_t> seen;
+  auto probe = [&] { sim.ScheduleAt(LandTime(4, 9600), [&] { seen.push_back(log.runs.size()); }); };
+  probe();
+  line.a().Write(Bytes{kEnd, 1, 2, kEnd, kEnd, 3, 4, kEnd});
+  probe();
+  sim.RunAll();
+  EXPECT_EQ(log.runs, (std::vector<std::string>{At("|", 1), At("12|", 4), At("|", 5),
+                                                At("34|", 8)}));
+  EXPECT_EQ(seen, (std::vector<std::size_t>{1, 2}));
+}
+
+TEST(SerialRunTest, RunUntilMidFrameShowsTheLandedBytes) {
+  Simulator sim;
+  SerialLine line(&sim, 9600);
+  line.a().set_name("host");
+  line.b().set_name("tnc");
+  RunLog log{&sim, {}};
+  log.Receive(line.b());
+  trace::Tracer tracer(&sim);
+  trace::ScopedInstall install(&tracer);
+  line.a().Write(Bytes{kEnd, 1, 2, 3, 4, 5, 6, 7, 8, 9, kEnd});
+  sim.RunUntil(LandTime(6, 9600));
+  EXPECT_EQ(log.runs, (std::vector<std::string>{At("|", 1)}));
+  EXPECT_EQ(line.b().bytes_received(), 6u);
+  EXPECT_EQ(line.b().deliveries(), 6u);
+  EXPECT_EQ(line.a().backlog(), 5u);
+  // One enqueue record and a deliver record for each landed byte, stamped
+  // with its land time.
+  tracer.Flush();
+  EXPECT_EQ(tracer.stats().per_layer[static_cast<int>(trace::Layer::kSerial)], 7u);
+  std::vector<SimTime> delivered;
+  for (const trace::Entry* e : tracer.RingSnapshot()) {
+    if (e->kind == trace::Kind::kSerialDeliver) {
+      EXPECT_EQ(e->iface, "tnc");
+      delivered.push_back(e->ts);
+    }
+  }
+  ASSERT_EQ(delivered.size(), 6u);
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i], LandTime(i + 1, 9600)) << "byte " << i + 1;
+  }
+  sim.RunAll();
+  tracer.Flush();
+  EXPECT_EQ(tracer.stats().per_layer[static_cast<int>(trace::Layer::kSerial)], 12u);
+  EXPECT_EQ(log.runs.back(), At("123456789|", 11));
+}
+
+TEST(SerialRunTest, ReceiverWithoutFrameEndTakesOneDeliveryPerByte) {
+  Simulator sim;
+  SerialLine line(&sim, 9600);
+  OrderLog log;
+  log.Receive(line.b(), "a");
+  line.a().Write(Bytes{kEnd, 1, 2, kEnd});
+  sim.RunAll();
+  EXPECT_EQ(log.events, (std::vector<std::string>{"a192", "a1", "a2", "a192"}));
+  EXPECT_EQ(line.a().events_scheduled(), 4u);
+  EXPECT_EQ(sim.executed_events(), 4u);
+}
+
+TEST(SerialRunTest, CommandModeTncTakesOneDeliveryPerCharacter) {
+  // The TNC-2 command interpreter works per character, so it names no frame
+  // end: a typed line costs the terminal's line an event per character.
+  Simulator sim;
+  RadioChannel channel(&sim, RadioChannelConfig{.bit_rate = 9600}, 1);
+  SerialLine line(&sim, 9600);
+  std::string screen;
+  line.a().set_receive_chunk_handler([&](const std::uint8_t* d, std::size_t n) {
+    screen.append(reinterpret_cast<const char*>(d), n);
+  });
+  CommandTncConfig cfg;
+  cfg.mycall = *Ax25Address::Parse("KD7NM");
+  CommandModeTnc tnc(&sim, &channel, &line.b(), "KD7NM", cfg, 1);
+  sim.RunUntil(Seconds(1));
+  line.a().Write(BytesFromString("MYCALL\r\n"));
+  sim.RunUntil(Seconds(2));
+  EXPECT_NE(screen.find("MYCALL KD7NM"), std::string::npos);
+  EXPECT_EQ(line.a().events_scheduled(), 8u);
+  EXPECT_EQ(line.b().deliveries(), 8u);
+}
+
+TEST(SerialRunTest, BusyLineHoldsOneHeapEntry) {
+  Simulator sim;
+  SerialLine line(&sim, 9600);
+  RunLog log{&sim, {}};
+  log.Receive(line.b());
+  Bytes frames;
+  for (int f = 0; f < 50; ++f) {
+    frames.push_back(kEnd);
+    frames.insert(frames.end(), 20, static_cast<std::uint8_t>(f));
+    frames.push_back(kEnd);
+  }
+  line.a().Write(frames);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunUntil(LandTime(500, 9600) + 1);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(line.a().backlog(), frames.size() - 500);
+  sim.RunAll();
+  EXPECT_EQ(log.runs.size(), 100u);
+  EXPECT_EQ(line.a().events_scheduled(), 100u);
+  EXPECT_EQ(sim.events_scheduled(), frames.size());
+  EXPECT_EQ(line.b().bytes_received(), frames.size());
 }
 
 // --- Silo (DZ/DH batched) mode ---------------------------------------------

@@ -71,6 +71,25 @@ TEST_F(TncTest, HostToAirToHost) {
   EXPECT_EQ(b.tnc.frames_to_host(), 1u);
 }
 
+// A resync mid-frame drops the bytes that landed before it, as it would if
+// each had been an event of its own, although the host's frame travels as
+// one run: the tail after the resync decodes as a frame of its own, typed
+// by its first byte ('A' = TXDELAY on port 4).
+TEST_F(TncTest, ResyncMidRunDropsTheBytesLandedBeforeIt) {
+  Station a(&sim_, &channel_, "a", QuickMac(), 1);
+  Bytes frame = {kKissFend, 0x00};
+  frame.insert(frame.end(), 20, 'A');
+  frame.push_back(kKissFend);
+  a.serial.a().Write(frame);
+  sim_.RunUntil(a.serial.transfer_time(12));
+  a.tnc.EnterKissMode();
+  sim_.RunAll();
+  EXPECT_EQ(a.tnc.frames_from_host(), 0u);
+  EXPECT_EQ(a.tnc.param_updates(), 1u);
+  EXPECT_EQ(a.tnc.mac_params().tx_delay, Milliseconds(10.0 * 'A'));
+  EXPECT_EQ(a.serial.b().bytes_received(), frame.size());
+}
+
 // The perfbench buf.* metrics count this: a host-to-TNC data frame of n
 // bytes costs the TNC exactly one owned copy, out of the KISS decoder's
 // buffer onto the MAC queue.
