@@ -203,9 +203,7 @@ void SerialEndpoint::Write(ByteView bytes) {
         ++events_scheduled_;
       }
       if (tracer != nullptr) {
-        tracer->RecordAt(sim, p.when, p.seq, trace::Layer::kSerial,
-                         trace::Kind::kSerialDeliver, trace::Dir::kRx, peer_->name_,
-                         ByteView(&p.byte, 1));
+        tracer->RecordDeliverAt(sim, p.when, p.seq, peer_->name_, p.byte);
       }
     }
   }

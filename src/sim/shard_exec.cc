@@ -45,7 +45,7 @@ ShardSet::~ShardSet() {
   }
 }
 
-Simulator* ShardSet::shard(std::size_t k) {
+Simulator* ShardSet::shard(std::size_t k) const {
   UPR_INVARIANT(k < shard_count_, "shard index %zu out of range (%zu shards)",
                 k, shard_count_);
   return shards_[k];

@@ -82,12 +82,12 @@ class ShardSet {
   // The simulator backing shard `k`. In kUnified mode every k returns the
   // same Simulator; construction order is otherwise identical across modes,
   // which is what keeps seeded component construction byte-stable.
-  Simulator* shard(std::size_t k);
+  Simulator* shard(std::size_t k) const;
 
   // The simulator whose event is currently executing (merge cursor in
   // kSharded, the single sim in kUnified). Valid on the executing thread
-  // only; the tracer's clock override points here so ring/pcap timestamps
-  // come from the shard that actually recorded the crossing. Parallel-mode
+  // only; a tracer given this set reads it so ring/pcap timestamps come
+  // from the shard that actually recorded the crossing. Parallel-mode
   // workers never touch it — they install per-shard tracers instead.
   Simulator* current_sim() const { return current_; }
   SimTime CurrentTime() const { return current_->Now(); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "src/sim/shard_exec.h"
 #include "src/trace/pcapng_writer.h"
 #include "src/util/panic.h"
 
@@ -114,7 +115,7 @@ std::string Entry::ToString() const {
 }
 
 Tracer::Tracer(Simulator* sim, TracerConfig config)
-    : sim_(sim), config_(std::move(config)) {
+    : sim_(sim), sims_{sim}, config_(std::move(config)) {
   if (config_.ring_capacity == 0) {
     config_.ring_capacity = 1;
   }
@@ -152,25 +153,53 @@ void Tracer::Record(Layer layer, Kind kind, Dir dir, std::string_view iface,
         std::move(note));
 }
 
-void Tracer::RecordAt(const Simulator* sim, SimTime when, std::uint64_t seq,
-                      Layer layer, Kind kind, Dir dir, std::string_view iface,
-                      ByteView data) {
-  Pending p{when, seq, sim, {}};
-  p.entry.layer = layer;
-  p.entry.kind = kind;
-  p.entry.dir = dir;
-  p.entry.iface.assign(iface);
-  p.entry.data.assign(data.begin(), data.end());
-  pending_.push_back(std::move(p));
+void Tracer::set_shards(const ShardSet* shards) {
+  shards_ = shards;
+  sims_.clear();
+  for (std::size_t k = 0; k < shards->shard_count(); ++k) {
+    sims_.push_back(shards->shard(k));
+  }
+}
+
+SimTime Tracer::NowForEntry() const {
+  return shards_ != nullptr ? shards_->CurrentTime() : sim_->Now();
+}
+
+std::uint32_t Tracer::IndexOf(const Simulator* sim) const {
+  return static_cast<std::uint32_t>(std::find(sims_.begin(), sims_.end(), sim) - sims_.begin());
+}
+
+void Tracer::RecordDeliverAt(const Simulator* sim, SimTime when, std::uint64_t seq,
+                             std::string_view iface, std::uint8_t byte) {
+  std::uint32_t k = IndexOf(sim);
+  if (k == sims_.size()) {
+    sims_.push_back(sim);
+  }
+  pending_.push_back({when, seq, k, byte, std::string(iface)});
   std::push_heap(pending_.begin(), pending_.end(), Later);
 }
 
+bool Tracer::Reached(const Pending& p) const {
+  const Simulator* sim = sims_[p.sim];
+  if (sim->Reached(p.when, p.seq)) {
+    return true;
+  }
+  if (shards_ == nullptr) {
+    return false;
+  }
+  // The merge runs every shard's events in (time, shard index) order, so
+  // another shard's byte has landed once the running event is past it in
+  // that order.
+  const Simulator* now = shards_->current_sim();
+  return now != sim && (p.when < now->Now() || (p.when == now->Now() && p.sim < IndexOf(now)));
+}
+
 void Tracer::Settle() {
-  while (!pending_.empty() &&
-         pending_.front().sim->Reached(pending_.front().when, pending_.front().seq)) {
+  while (!pending_.empty() && Reached(pending_.front())) {
     std::pop_heap(pending_.begin(), pending_.end(), Later);
-    const Entry& e = pending_.back().entry;
-    Enter(pending_.back().when, e.layer, e.kind, e.dir, e.iface, e.data, {});
+    const Pending& p = pending_.back();
+    Enter(p.when, Layer::kSerial, Kind::kSerialDeliver, Dir::kRx, p.iface,
+          ByteView(&p.byte, 1), {});
     pending_.pop_back();
   }
 }

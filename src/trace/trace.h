@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -33,6 +32,10 @@
 
 #include "src/sim/simulator.h"
 #include "src/util/byte_buffer.h"
+
+namespace upr {
+class ShardSet;
+}  // namespace upr
 
 namespace upr::trace {
 
@@ -120,11 +123,11 @@ class Tracer {
  public:
   // `sim` provides the event timestamps (nanosecond sim time).
   Tracer(Simulator* sim, TracerConfig config = {});
-  // Sharded execution: entries are stamped from whichever shard simulator is
-  // currently executing, not a fixed one. When set, `clock` overrides `sim`
-  // for timestamping (the city runner points it at the sharded executor's
-  // current-shard clock).
-  void set_clock(std::function<SimTime()> clock) { clock_ = std::move(clock); }
+  // Sharded execution on one thread: entries are stamped from whichever
+  // shard simulator `shards` is executing, not a fixed one, and a serial
+  // byte recorded by RecordDeliverAt() on one shard enters the ring where
+  // the shards' time-ordered merge would have run an event of its own.
+  void set_shards(const ShardSet* shards);
   ~Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -148,14 +151,15 @@ class Tracer {
   void RecordEtherFrame(Kind kind, Dir dir, std::string_view iface,
                         ByteView frame, std::string note = {});
 
-  // Records a crossing that happens at the key (when, seq) of `sim`, which
-  // execution may not have reached yet. The entry, stamped `when`, enters
-  // the ring at the first record or Flush() once `sim` has reached the key,
-  // so in the order an event of its own at that key would have put it. A
-  // serial line records this way the bytes it lands without an event each.
-  // `sim` must outlive the tracer's records and flushes.
-  void RecordAt(const Simulator* sim, SimTime when, std::uint64_t seq, Layer layer,
-                Kind kind, Dir dir, std::string_view iface, ByteView data);
+  // Records the kSerialDeliver of one `byte` landing at `iface` under the
+  // key (when, seq) of `sim`, which execution may not have reached yet. The
+  // entry, stamped `when`, enters the ring at the first record or Flush()
+  // once execution has reached the key, so in the order an event of its own
+  // at that key would have put it. A serial line records this way the bytes
+  // it lands without an event each. `sim` must outlive the tracer's records
+  // and flushes.
+  void RecordDeliverAt(const Simulator* sim, SimTime when, std::uint64_t seq,
+                       std::string_view iface, std::uint8_t byte);
 
   const TracerConfig& config() const { return config_; }
   const TraceStats& stats() const { return stats_; }
@@ -167,41 +171,51 @@ class Tracer {
   // Human-readable dump of the ring (one line per entry), for failure paths.
   std::string FormatRing() const;
 
-  // Enters every RecordAt() crossing its simulator has reached, then flushes
+  // Enters every RecordDeliverAt() byte execution has reached, then flushes
   // buffered pcapng output to disk (also done on destruction). Read the ring
   // and stats after a Flush().
   void Flush();
 
  private:
-  // A RecordAt() crossing its simulator has not reached yet.
+  // A RecordDeliverAt() byte execution has not reached yet.
   struct Pending {
     SimTime when;
     std::uint64_t seq;
-    const Simulator* sim;
-    Entry entry;
+    std::uint32_t sim;  // index into sims_
+    std::uint8_t byte;
+    std::string iface;
   };
-  // Min-heap order on (when, seq).
+  // Min-heap on (when, sim, seq): the order the shards' merge runs events in
+  // (on one simulator, plain key order).
   static bool Later(const Pending& a, const Pending& b) {
-    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    if (a.when != b.when) {
+      return a.when > b.when;
+    }
+    return a.sim != b.sim ? a.sim > b.sim : a.seq > b.seq;
   }
 
   Entry& NextSlot();
   // Fills the next ring slot and counts it.
   void Enter(SimTime ts, Layer layer, Kind kind, Dir dir, std::string_view iface,
              ByteView data, std::string note);
-  // Enters the pending crossings whose keys their simulators have reached.
+  // Enters the pending bytes execution has reached.
   void Settle();
+  bool Reached(const Pending& p) const;
+  // Index of `sim` in sims_, or sims_.size() when it is not there.
+  std::uint32_t IndexOf(const Simulator* sim) const;
 
-  SimTime NowForEntry() const { return clock_ ? clock_() : sim_->Now(); }
+  SimTime NowForEntry() const;
 
   Simulator* sim_;
-  std::function<SimTime()> clock_;
+  const ShardSet* shards_ = nullptr;
+  // The simulators pending bytes come from, in shard order when sharded.
+  std::vector<const Simulator*> sims_;
   TracerConfig config_;
   TraceStats stats_;
   std::vector<Entry> ring_;     // grows to ring_capacity, then wraps
   std::size_t ring_next_ = 0;   // slot the next entry lands in (once full)
   std::uint64_t seq_ = 0;
-  std::vector<Pending> pending_;  // heap, earliest key at the front
+  std::vector<Pending> pending_;  // heap, earliest at the front
   std::unique_ptr<PcapngWriter> pcap_;
 };
 

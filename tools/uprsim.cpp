@@ -334,9 +334,10 @@ class Scene {
   }
 
   // The bulk workload of tcp and vc: 8 KB from `from` to port 5001 on `to`,
-  // stepping until the last byte arrives or --duration passes. Where a run
+  // running until the last byte arrives or --duration passes. Where a run
   // stops moves Utilization() and the --netstat event counts, so a finished
-  // transfer does not run on to --duration.
+  // transfer does not run on to --duration, and a cut one stops at
+  // --duration itself, whichever events happen to lie past it.
   int RunTransfer(Tcp& from, Tcp& to, IpV4Address dst, bool over_vc) {
     constexpr std::size_t kBytes = 8 * 1024;
     std::size_t received = 0;
@@ -350,10 +351,16 @@ class Scene {
     conn->set_connected_handler([conn] { conn->Send(Bytes(kBytes, 0x42)); });
     const SimTime start = sim->Now();
     const SimTime end = Seconds(opt.duration);
+    const auto done = [&] { return received >= kBytes; };
     if (rt != nullptr) {
-      rt->RunUntil(end, [&] { return received >= kBytes; });
+      rt->RunUntil(end, done);
     } else {
-      while (received < kBytes && sim->Now() < end && sim->Step()) {
+      SimTime next;
+      while (!done() && sim->NextEventTime(&next) && next <= end) {
+        sim->Step();
+      }
+      if (!done()) {
+        sim->RunUntil(end);  // settles the clock at `end`
       }
     }
     if (received < kBytes) {
@@ -780,7 +787,7 @@ bool StartTracers(const Options& opt, Scene& scene,
   }
   if (!parallel) {
     if (set != nullptr) {
-      tracers->front()->set_clock([set] { return set->CurrentTime(); });
+      tracers->front()->set_shards(set);
     }
     *install = std::make_unique<trace::ScopedInstall>(tracers->front().get());
     return true;
