@@ -127,6 +127,7 @@ class Tracer {
   // shard simulator `shards` is executing, not a fixed one, and a serial
   // byte recorded by RecordDeliverAt() on one shard enters the ring where
   // the shards' time-ordered merge would have run an event of its own.
+  // Call before the first record.
   void set_shards(const ShardSet* shards);
   ~Tracer();
   Tracer(const Tracer&) = delete;
