@@ -62,26 +62,19 @@ E3Result RunOne(const TcpConfig& tcp, double loss, std::uint64_t seed) {
     return r;
   }
   Bytes payload(kBytes, 0x42);
-  std::size_t queued = 0;
-  conn->set_connected_handler([&, conn] { queued = conn->Send(payload); });
+  conn->set_connected_handler([&payload, conn] { conn->Send(payload); });
   SimTime start = tb.sim().Now();
   SimTime early_mark = start + Seconds(120);
   bool early_recorded = false;
-  SimTime deadline = start + Seconds(3600 * 8);
-  while (received < kBytes && tb.sim().Now() < deadline && tb.sim().Step()) {
+  tb.sim().RunUntil(start + Seconds(3600 * 8), [&] {
+    // Asked between events, so this samples the count just after the first
+    // event at or past the mark.
     if (!early_recorded && tb.sim().Now() >= early_mark) {
       early_recorded = true;
       r.rexmit_early = conn->stats().retransmissions;
     }
-    if (queued < kBytes && conn->state() == TcpState::kEstablished &&
-        conn->unsent_bytes() == 0) {
-      Bytes chunk(payload.begin() + static_cast<std::ptrdiff_t>(queued), payload.end());
-      queued += conn->Send(chunk);
-    }
-    if (conn->state() == TcpState::kClosed) {
-      break;
-    }
-  }
+    return received >= kBytes || conn->state() == TcpState::kClosed;
+  });
   if (!early_recorded) {
     r.rexmit_early = conn->stats().retransmissions;
   }

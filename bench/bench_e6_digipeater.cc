@@ -63,9 +63,7 @@ int main(int argc, char** argv) {
     });
     SimTime start = tb.sim().Now();
     tb.pc(0).udp().SendTo(Testbed::RadioPcIp(1), 7, 7, Bytes(1024, 0x5A));
-    SimTime deadline = start + Seconds(3600);
-    while (received < 1024 && tb.sim().Now() < deadline && tb.sim().Step()) {
-    }
+    tb.sim().RunUntil(start + Seconds(3600), [&] { return received >= 1024; });
     double udp_s = received >= 1024 ? ToSeconds(tb.sim().Now() - start) : -1.0;
 
     std::uint64_t repeated = 0;

@@ -178,9 +178,7 @@ int main(int argc, char** argv) {
     SimTime start = bb->sim.Now();
     if (circuit != nullptr) {
       circuit->Send(Bytes(kBytes, 0x77));
-      while (received < kBytes && bb->sim.Now() < start + Seconds(3600) &&
-             bb->sim.Step()) {
-      }
+      bb->sim.RunUntil(start + Seconds(3600), [&] { return received >= kBytes; });
       double secs = ToSeconds(bb->sim.Now() - start);
       rep.Row({"nr-circuit", Fmt(secs, 0),
                received >= kBytes ? Fmt(received * 8.0 / secs, 0) : "incomplete",

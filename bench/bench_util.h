@@ -67,9 +67,7 @@ inline std::optional<SimTime> RunPing(Simulator* sim, NetStack* from, IpV4Addres
                       }
                     },
                     timeout);
-  SimTime deadline = sim->Now() + timeout + deadline_slack;
-  while (!done && sim->Now() < deadline && sim->Step()) {
-  }
+  sim->RunUntil(sim->Now() + timeout + deadline_slack, [&] { return done; });
   return result;
 }
 
@@ -84,7 +82,9 @@ struct TransferResult {
 };
 
 // Bulk one-way TCP transfer: `from` connects to a sink on `to_stack` and
-// sends `bytes`. Runs the simulator until delivery completes or `deadline`.
+// sends `bytes`, which must fit the sender's TcpConfig::send_buffer_limit
+// (one Send queues them all). Runs the simulator until delivery completes,
+// the connection closes, or `deadline` passes.
 inline TransferResult RunBulkTransfer(Simulator* sim, Tcp* from, Tcp* to_tcp,
                                       IpV4Address to_ip, std::size_t bytes,
                                       SimTime deadline, std::uint16_t port = 5001) {
@@ -99,22 +99,10 @@ inline TransferResult RunBulkTransfer(Simulator* sim, Tcp* from, Tcp* to_tcp,
   }
   Bytes payload(bytes, 0x42);
   SimTime start = sim->Now();
-  std::size_t queued = 0;
-  conn->set_connected_handler([&, conn] {
-    queued += conn->Send(payload);
+  conn->set_connected_handler([&payload, conn] { conn->Send(payload); });
+  sim->RunUntil(deadline, [&] {
+    return received >= bytes || conn->state() == TcpState::kClosed;
   });
-  while (received < bytes && sim->Now() < deadline && sim->Step()) {
-    // Keep the send buffer topped up if the first Send didn't fit.
-    if (queued < bytes && conn->state() == TcpState::kEstablished &&
-        conn->unsent_bytes() == 0) {
-      Bytes chunk(payload.begin() + static_cast<std::ptrdiff_t>(queued),
-                  payload.end());
-      queued += conn->Send(chunk);
-    }
-    if (conn->state() == TcpState::kClosed) {
-      break;
-    }
-  }
   result.completed = received >= bytes;
   result.elapsed = sim->Now() - start;
   result.retransmissions = conn->stats().retransmissions;

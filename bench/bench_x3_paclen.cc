@@ -94,12 +94,9 @@ X3Result RunOne(std::size_t paclen, std::uint8_t window, double ber,
   constexpr std::size_t kBytes = 4096;
   Ax25Connection* conn = a->link->Connect(*Ax25Address::Parse("KD7BB"));
   conn->Send(Bytes(kBytes, 0x6B));
-  SimTime deadline = Seconds(3600 * 4);
-  while (received < kBytes && sim.Now() < deadline && sim.Step()) {
-    if (conn->state() == Ax25Connection::State::kDisconnected) {
-      break;
-    }
-  }
+  sim.RunUntil(Seconds(3600 * 4), [&] {
+    return received >= kBytes || conn->state() == Ax25Connection::State::kDisconnected;
+  });
   X3Result r;
   r.completed = received >= kBytes;
   r.elapsed_s = ToSeconds(sim.Now());

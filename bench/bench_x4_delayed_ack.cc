@@ -54,8 +54,7 @@ X4Result RunOne(bool delayed_ack, std::size_t bytes, std::uint64_t seed) {
   Bytes payload(bytes, 0x51);
   conn->set_connected_handler([&, conn] { conn->Send(payload); });
   SimTime start = tb.sim().Now();
-  while (received < bytes && tb.sim().Now() < Seconds(3600 * 4) && tb.sim().Step()) {
-  }
+  tb.sim().RunUntil(Seconds(3600 * 4), [&] { return received >= bytes; });
   r.completed = received >= bytes;
   r.elapsed_s = ToSeconds(tb.sim().Now() - start);
   r.sender_segments = conn->stats().segments_sent;

@@ -93,9 +93,7 @@ int main() {
                                    done = true;
                                  },
                                  Seconds(600));
-    while (!done) {
-      sim.Step();
-    }
+    sim.RunUntil(sim.Now() + Seconds(660), [&] { return done; });
   }
 
   std::printf("\nrelay node forwarded %llu datagrams; seattle delivered %llu\n",

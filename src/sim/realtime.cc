@@ -168,22 +168,19 @@ std::size_t RealtimeExecutor::RunUntil(SimTime deadline,
     }
     if (target <= wall) {
       // The schedule is at or behind the wall clock: catch up every due
-      // event in order, then give fds one zero-timeout poll so a burst of
-      // sim events cannot starve external I/O.
+      // event in order, under the simulated run's stop rule so a paced run
+      // stops at the same event, then give fds one zero-timeout poll so a
+      // burst of sim events cannot starve external I/O.
       if (wall - target > stats_.max_lag) {
         stats_.max_lag = wall - target;
       }
-      stats_.events_executed += sim_->RunUntil(std::min(wall, deadline));
-      if (sim_->Now() >= deadline && wall >= deadline) {
+      const SimTime until = std::min(wall, deadline);
+      stats_.events_executed += stop ? sim_->RunUntil(until, stop) : sim_->RunUntil(until);
+      if ((sim_->Now() >= deadline && wall >= deadline) || (stop && stop())) {
         break;
       }
       PollOnce(0);
       continue;
-    }
-    if (wall >= deadline) {
-      // Nothing left at or before the deadline and its wall time has passed.
-      stats_.events_executed += sim_->RunUntil(deadline);
-      break;
     }
     // Sleep toward the next event (or the deadline), waking for fd traffic.
     PollOnce(target - wall);

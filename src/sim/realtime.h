@@ -82,7 +82,9 @@ class RealtimeExecutor {
   // Paces the simulator until `deadline` (sim time). Returns when the
   // deadline's wall time has passed and all events at or before it have run,
   // when `stop` returns true, or when RequestStop() was called. Events due
-  // in the past (schedule behind wall clock) run immediately in order.
+  // in the past (schedule behind wall clock) run immediately in order, with
+  // `stop` asked before each as Simulator::RunUntil(deadline, done) asks
+  // it, so a paced run stops at the event a simulated one stops at.
   std::size_t RunUntil(SimTime deadline, const std::function<bool()>& stop = {});
 
   // Makes the innermost RunUntil return after the current event/handler.

@@ -99,9 +99,26 @@ class Simulator {
   // O(log n): the event leaves the heap and its pool slot recycles at once.
   void Cancel(std::uint64_t id);
 
-  // Runs events until the queue is empty or `deadline` is passed. Events at
-  // exactly `deadline` still run. Returns the number of events executed.
+  // Runs every event at or before `deadline`, then settles the clock there:
+  // Now() reads `deadline` and every key at or before it reserved so far
+  // counts as reached. Returns the number of events executed.
   std::size_t RunUntil(SimTime deadline);
+  // The one stop rule for a run that can finish early: as above, but
+  // `done()` is asked before each event and the run stops once it holds,
+  // leaving the clock at the event that satisfied it. Only a run that
+  // reaches `deadline` without `done()` ever holding settles the clock.
+  std::size_t RunUntil(SimTime deadline, const std::function<bool()>& done) {
+    std::size_t n = 0;
+    while (!done()) {
+      if (heap_.empty() || heap_.front().when > deadline) {
+        RunUntil(deadline);  // nothing left to run: settles the clock
+        break;
+      }
+      Step();
+      ++n;
+    }
+    return n;
+  }
 
   // Runs until the event queue drains (use with care: periodic timers never
   // drain). Returns the number of events executed.

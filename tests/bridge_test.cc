@@ -276,7 +276,10 @@ TEST(BridgePortTest, BackpressuresFdInsteadOfDroppingBytes) {
   ASSERT_EQ(write(fds[1], flood.data(), flood.size()),
             static_cast<ssize_t>(flood.size()));
 
-  exec.RunUntil(Seconds(60),
+  // The flood takes ~17 s of line time; the deadline leaves 300 ms of wall
+  // time so a loaded host cannot cut the run, and the stop predicate still
+  // ends it once the last byte is in.
+  exec.RunUntil(Seconds(600),
                 [&] { return port.stats().bytes_in >= flood.size(); });
   EXPECT_EQ(port.stats().bytes_in, flood.size());
   // The 64-byte FIFO forced read pauses, and nothing was dropped.

@@ -95,9 +95,7 @@ class TwoGatewayFixture : public ::testing::Test {
                                  }
                                },
                                Seconds(120));
-    SimTime deadline = sim_.Now() + Seconds(180);
-    while (!done && sim_.Now() < deadline && sim_.Step()) {
-    }
+    sim_.RunUntil(sim_.Now() + Seconds(180), [&] { return done; });
     return result;
   }
 

@@ -65,6 +65,71 @@ TEST(SimulatorTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
   EXPECT_EQ(order, (std::vector<int>{1, 5}));
 }
 
+// RunUntil(deadline, done): the one stop rule every workload runs under.
+TEST(RunUntilDoneTest, DoneOnEntryRunsNothingAndKeepsTheClock) {
+  Simulator sim;
+  sim.RunUntil(Milliseconds(500));
+  bool ran = false;
+  sim.Schedule(Seconds(1), [&] { ran = true; });
+  EXPECT_EQ(sim.RunUntil(Seconds(2), [] { return true; }), 0u);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.Now(), Milliseconds(500));
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(RunUntilDoneTest, StopsBetweenSameInstantEvents) {
+  Simulator sim;
+  int count = 0;
+  for (int i = 0; i < 4; ++i) {
+    sim.ScheduleAt(Seconds(1), [&] { ++count; });
+  }
+  EXPECT_EQ(sim.RunUntil(Seconds(2), [&] { return count >= 2; }), 2u);
+  EXPECT_EQ(count, 2);
+  EXPECT_EQ(sim.Now(), Seconds(1));
+  EXPECT_EQ(sim.pending_events(), 2u);
+}
+
+TEST(RunUntilDoneTest, RunsEveryEventAtTheDeadlineAndNonePast) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.ScheduleAt(Seconds(1), [&] { order.push_back(1); });
+  sim.ScheduleAt(Seconds(3), [&] { order.push_back(2); });
+  sim.ScheduleAt(Seconds(3), [&] { order.push_back(3); });
+  sim.ScheduleAt(Seconds(3) + 1, [&] { order.push_back(4); });
+  EXPECT_EQ(sim.RunUntil(Seconds(3), [] { return false; }), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.Now(), Seconds(3));
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(RunUntilDoneTest, ReachingTheDeadlineSettlesTheClock) {
+  Simulator sim;
+  std::uint64_t seq = 0;
+  // The reserved key lies between the last event and the deadline, and the
+  // queue drains before the deadline.
+  sim.ScheduleAt(Seconds(1), [&] { seq = sim.ReserveSeq(); });
+  EXPECT_EQ(sim.RunUntil(Seconds(5), [] { return false; }), 1u);
+  EXPECT_EQ(sim.Now(), Seconds(5));
+  EXPECT_TRUE(sim.Reached(Seconds(5), seq));
+  EXPECT_TRUE(sim.Idle());
+}
+
+TEST(RunUntilDoneTest, StoppingOnDoneLeavesTheClockAtThatEvent) {
+  Simulator sim;
+  int count = 0;
+  std::uint64_t seq = 0;
+  sim.ScheduleAt(Seconds(1), [&] { ++count; });
+  sim.ScheduleAt(Seconds(2), [&] {
+    ++count;
+    seq = sim.ReserveSeq();
+  });
+  sim.ScheduleAt(Seconds(3), [&] { ++count; });
+  EXPECT_EQ(sim.RunUntil(Seconds(5), [&] { return count >= 2; }), 2u);
+  EXPECT_EQ(sim.Now(), Seconds(2));
+  EXPECT_FALSE(sim.Reached(Seconds(2), seq));
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
 TEST(SimulatorTest, EventsCanScheduleMoreEvents) {
   Simulator sim;
   int depth = 0;

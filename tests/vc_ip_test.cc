@@ -66,8 +66,7 @@ TEST_F(VcPair, SecondDatagramReusesCircuit) {
                              }
                            },
                            Seconds(120));
-    while (!done && sim_.Step()) {
-    }
+    sim_.RunUntil(sim_.Now() + Seconds(180), [&] { return done; });
   }
   EXPECT_EQ(replies, 3);
   EXPECT_EQ(a_->vc()->circuits_opened(), 1u);  // one SABM for the whole session

@@ -79,13 +79,18 @@ struct Options {
   std::vector<std::string> given;     // every flag on the command line
 };
 
+bool Given(const Options& opt, const char* flag) {
+  return std::find(opt.given.begin(), opt.given.end(), flag) != opt.given.end();
+}
+
 void Usage(const char* argv0) {
   std::printf(
       "usage: %s [options]\n"
       "  --pcs N            radio PCs (default 1)\n"
       "  --hosts N          Ethernet hosts (default 1)\n"
       "  --digis N          digipeaters (default 0)\n"
-      "  --rate BPS         radio channel bit rate (default 1200)\n"
+      "  --rate BPS         radio channel bit rate (default 1200; 9600,\n"
+      "                     the topology's own rate, for --topo)\n"
       "  --loss P           per-frame loss probability (default 0)\n"
       "  --ber B            per-bit error rate (default 0)\n"
       "  --filter           enable the TNC address filter (the paper's fix)\n"
@@ -334,10 +339,8 @@ class Scene {
   }
 
   // The bulk workload of tcp and vc: 8 KB from `from` to port 5001 on `to`,
-  // running until the last byte arrives or --duration passes. Where a run
-  // stops moves Utilization() and the --netstat event counts, so a finished
-  // transfer does not run on to --duration, and a cut one stops at
-  // --duration itself, whichever events happen to lie past it.
+  // running until the last byte arrives or --duration passes, paced or not
+  // (where a run stops moves Utilization() and the --netstat counts).
   int RunTransfer(Tcp& from, Tcp& to, IpV4Address dst, bool over_vc) {
     constexpr std::size_t kBytes = 8 * 1024;
     std::size_t received = 0;
@@ -350,18 +353,11 @@ class Scene {
     }
     conn->set_connected_handler([conn] { conn->Send(Bytes(kBytes, 0x42)); });
     const SimTime start = sim->Now();
-    const SimTime end = Seconds(opt.duration);
     const auto done = [&] { return received >= kBytes; };
     if (rt != nullptr) {
-      rt->RunUntil(end, done);
+      rt->RunUntil(Seconds(opt.duration), done);
     } else {
-      SimTime next;
-      while (!done() && sim->NextEventTime(&next) && next <= end) {
-        sim->Step();
-      }
-      if (!done()) {
-        sim->RunUntil(end);  // settles the clock at `end`
-      }
+      sim->RunUntil(Seconds(opt.duration), done);
     }
     if (received < kBytes) {
       std::printf("%stransfer incomplete: %zu/%zu bytes\n", over_vc ? "VC " : "", received, kBytes);
@@ -671,6 +667,8 @@ class LiveScene : public Scene {
 // default single-thread sharded merge, or conservative parallel DES
 // (--parallel N). The city reports each channel's traffic in its own
 // summary table, so its scene lists no channels for the one-channel summary.
+// Its channels run at the topology's own rate (CityConfig::radio_bit_rate,
+// which its airtime arithmetic assumes) unless --rate is given.
 topo::CityConfig CityConfigFor(const Options& opt) {
   topo::CityConfig cfg;
   cfg.spec = opt.city_spec;
@@ -679,7 +677,9 @@ topo::CityConfig CityConfigFor(const Options& opt) {
                                 : ShardSet::Mode::kSharded;
   cfg.threads = opt.parallel > 0 ? opt.parallel : 1;
   cfg.seed = opt.seed;
-  cfg.radio_bit_rate = opt.rate;
+  if (Given(opt, "--rate")) {
+    cfg.radio_bit_rate = opt.rate;
+  }
   cfg.serial = SerialConfig(opt);
   return cfg;
 }
@@ -938,9 +938,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--record-faults and --replay-faults are exclusive\n");
     return 2;
   }
-  const bool time_scale_given =
-      std::find(opt.given.begin(), opt.given.end(), "--time-scale") != opt.given.end();
-  if (time_scale_given && !opt.realtime) {
+  if (Given(opt, "--time-scale") && !opt.realtime) {
     std::fprintf(stderr, "--time-scale needs --realtime\n");
     return 2;
   }
