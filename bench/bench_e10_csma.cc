@@ -50,9 +50,7 @@ CsmaResult RunCsma(int stations, double offered_frames_per_min, double persisten
   Ax25Frame f = Ax25Frame::MakeUi(Ax25Address("QST", 0), Ax25Address("KA7AA", 0),
                                   kPidNoLayer3, Bytes(100, 0xA5));
   Bytes wire = f.Encode();
-  std::uint16_t fcs = Crc16Ccitt(wire);
-  wire.push_back(static_cast<std::uint8_t>(fcs & 0xFF));
-  wire.push_back(static_cast<std::uint8_t>(fcs >> 8));
+  AppendFcs(&wire);
 
   std::vector<std::unique_ptr<Offered>> senders;
   std::uint64_t clean = 0;

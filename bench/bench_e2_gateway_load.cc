@@ -39,9 +39,7 @@ class BackgroundTalker {
         Ax25Address("KC" + std::to_string(index % 10) + "YY", 0), kPidNoLayer3,
         Bytes(100, 0x55));
     wire_ = f.Encode();
-    std::uint16_t fcs = Crc16Ccitt(wire_);
-    wire_.push_back(static_cast<std::uint8_t>(fcs & 0xFF));
-    wire_.push_back(static_cast<std::uint8_t>(fcs >> 8));
+    AppendFcs(&wire_);
     ScheduleNext();
   }
 

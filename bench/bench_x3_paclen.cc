@@ -60,25 +60,17 @@ X3Result RunOne(std::size_t paclen, std::uint8_t window, double ber,
         &sim, *Ax25Address::Parse(call),
         [raw = st.get()](const Ax25Frame& f) {
           Bytes wire = f.Encode();
-          std::uint16_t fcs = Crc16Ccitt(wire);
-          wire.push_back(static_cast<std::uint8_t>(fcs & 0xFF));
-          wire.push_back(static_cast<std::uint8_t>(fcs >> 8));
+          AppendFcs(&wire);
           raw->mac->Enqueue(std::move(wire));
         },
         link_cfg);
     st->port->set_receive_handler([raw = st.get()](const Bytes& wire, bool corrupted) {
-      if (corrupted || wire.size() < 2) {
+      const std::optional<ByteView> body = corrupted ? std::nullopt : CheckFcs(wire);
+      if (!body) {
         return;
       }
-      Bytes body(wire.begin(), wire.end() - 2);
-      std::uint16_t fcs = static_cast<std::uint16_t>(wire[wire.size() - 2] |
-                                                     wire[wire.size() - 1] << 8);
-      if (Crc16Ccitt(body) != fcs) {
-        return;
-      }
-      auto frame = Ax25Frame::Decode(body);
-      if (frame && frame->destination == raw->link->local_address()) {
-        raw->link->HandleFrame(*frame);
+      if (auto frame = Ax25Frame::Decode(*body)) {
+        raw->link->HandleDecoded(*frame, *body);
       }
     });
     return st;

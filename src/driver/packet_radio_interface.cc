@@ -97,12 +97,17 @@ void PacketRadioInterface::WriteKiss(ByteView ax25_wire) {
   serial_->Write(wire);
 }
 
-void PacketRadioInterface::OnSerialChunk(const std::uint8_t* data, std::size_t len) {
+DriverStats PacketRadioInterface::driver_stats() const {
   // One receive interrupt per serial delivery event: per character in the
   // paper's §2.2 discipline, per silo-full under the DH-style batching.
-  ++dstats_.interrupts;
-  dstats_.chars_in += len;
-  dstats_.interrupt_cpu_time += config_.per_interrupt_cost;
+  DriverStats d = dstats_;
+  d.interrupts = serial_->deliveries();
+  d.chars_in = serial_->bytes_received();
+  d.interrupt_cpu_time = static_cast<SimTime>(d.interrupts) * config_.per_interrupt_cost;
+  return d;
+}
+
+void PacketRadioInterface::OnSerialChunk(const std::uint8_t* data, std::size_t len) {
   trace::IfScope tscope(serial_->name(), trace::Dir::kRx);
   decoder_.Feed(data, len);
 }

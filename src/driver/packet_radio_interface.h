@@ -46,14 +46,15 @@ struct PacketRadioConfig {
   // Additional destination addresses accepted as broadcasts (beyond QST/CQ):
   // NET/ROM routing broadcasts are addressed to "NODES".
   std::vector<Ax25Address> broadcast_aliases{Ax25Address("NODES", 0)};
-  // Simulated CPU cost charged per received character interrupt; summed into
-  // interrupt_cpu_time() (experiment E2/E5 measure this load).
+  // Simulated CPU cost charged per received character interrupt; multiplied
+  // into interrupt_cpu_time (experiment E2/E5 measure this load).
   SimTime per_interrupt_cost = Microseconds(50);
 };
 
 struct DriverStats {
   // Receive interrupts taken: one per serial delivery event. In per-byte
   // mode that is one per character (§2.2); in silo mode one per silo-full.
+  // These three are read from the serial endpoint, which counts them.
   std::uint64_t interrupts = 0;
   std::uint64_t chars_in = 0;             // characters those interrupts carried
   SimTime interrupt_cpu_time = 0;
@@ -76,7 +77,7 @@ class PacketRadioInterface : public NetInterface {
 
   const Ax25Address& local_ax25() const { return config_.local_address; }
   ArpResolver& arp() { return *arp_; }
-  const DriverStats& driver_stats() const { return dstats_; }
+  DriverStats driver_stats() const;
   // The on-the-fly KISS unescaper; exposes framing-error counters.
   const KissDecoder& kiss_decoder() const { return decoder_; }
 
@@ -108,12 +109,7 @@ class PacketRadioInterface : public NetInterface {
                    std::vector<Ax25Address> digipeaters = {});
 
   // Mean characters per receive interrupt (1.0 in per-byte serial mode).
-  double chars_per_interrupt() const {
-    return dstats_.interrupts == 0
-               ? 0.0
-               : static_cast<double>(dstats_.chars_in) /
-                     static_cast<double>(dstats_.interrupts);
-  }
+  double chars_per_interrupt() const { return serial_->bytes_per_event(); }
 
  private:
   void OnSerialChunk(const std::uint8_t* data, std::size_t len);
@@ -129,7 +125,7 @@ class PacketRadioInterface : public NetInterface {
   std::unique_ptr<ArpResolver> arp_;
   L3Tap l3_tap_;
   std::deque<Ax25Frame> l3_queue_;
-  DriverStats dstats_;
+  DriverStats dstats_;  // its serial-line fields stay 0: see driver_stats()
 };
 
 }  // namespace upr

@@ -326,8 +326,8 @@ bool Session::ReplayClean() const {
 }
 
 namespace {
-// thread_local like the ambient tracer: each parallel-city shard worker can
-// carry its own session (or none) without racing the main thread's.
+// thread_local like the ambient tracer: each parallel-city thread can carry
+// its own session (or none) without racing another's.
 thread_local Session* g_session = nullptr;
 }  // namespace
 

@@ -11,6 +11,9 @@ namespace upr {
 
 namespace {
 constexpr const char* kTag = "realtime";
+// Longest single ppoll sleep. Bounds how stale the stop predicate and fd
+// interest sets can get while the schedule is far in the future.
+constexpr SimTime kMaxSleepWall = Milliseconds(100);
 }  // namespace
 
 RealtimeExecutor::RealtimeExecutor(Simulator* sim, RealtimeConfig config)
@@ -102,9 +105,7 @@ void RealtimeExecutor::PollOnce(SimTime sim_wait) {
     pfds.push_back(pollfd{w.fd, w.events, 0});
   }
   double wall_ns = static_cast<double>(sim_wait) / config_.time_scale;
-  SimTime cap = config_.max_sleep_wall > 0 ? config_.max_sleep_wall
-                                           : Milliseconds(100);
-  SimTime wait = std::min<SimTime>(static_cast<SimTime>(wall_ns), cap);
+  SimTime wait = std::min<SimTime>(static_cast<SimTime>(wall_ns), kMaxSleepWall);
   if (wait < 0) {
     wait = 0;
   }

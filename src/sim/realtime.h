@@ -39,9 +39,6 @@ namespace upr {
 struct RealtimeConfig {
   // Simulated seconds per wall-clock second.
   double time_scale = 1.0;
-  // Longest single ppoll sleep. Bounds how stale the stop predicate and fd
-  // interest sets can get while the schedule is far in the future.
-  SimTime max_sleep_wall = Milliseconds(100);
 };
 
 struct RealtimeStats {

@@ -1,6 +1,7 @@
 #include "src/sim/shard_exec.h"
 
 #include <algorithm>
+#include <thread>
 
 #include "src/util/panic.h"
 
@@ -32,19 +33,6 @@ ShardSet::ShardSet(const Config& config)
   }
 }
 
-ShardSet::~ShardSet() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stopping_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& t : workers_) {
-      t.join();
-    }
-  }
-}
-
 Simulator* ShardSet::shard(std::size_t k) const {
   UPR_INVARIANT(k < shard_count_, "shard index %zu out of range (%zu shards)",
                 k, shard_count_);
@@ -67,7 +55,7 @@ void ShardSet::Post(std::size_t src, std::size_t dst, SimTime when,
     }
     return;
   }
-  // Runs on the worker that owns src: posted_[src] is that worker's alone.
+  // Runs on the thread that owns src: posted_[src] is that thread's alone.
   ++posted_[src];
   if (src == dst) {
     shards_[dst]->ScheduleAt(when, std::move(fn));
@@ -81,16 +69,6 @@ void ShardSet::Post(std::size_t src, std::size_t dst, SimTime when,
                 static_cast<long long>(config_.lookahead),
                 static_cast<long long>(src_sim->Now()));
   outbox_[src].push_back({when, dst, std::move(fn)});
-}
-
-void ShardSet::DrainOutboxes() {
-  for (std::vector<Handoff>& outbox : outbox_) {
-    for (Handoff& h : outbox) {
-      shards_[h.dst]->ScheduleAt(h.when, std::move(h.fn));
-      ++stats_injected_;
-    }
-    outbox.clear();
-  }
 }
 
 std::size_t ShardSet::RunUnified(SimTime deadline) {
@@ -142,90 +120,78 @@ std::size_t ShardSet::RunShardedMerge(SimTime deadline) {
   return n;
 }
 
-void ShardSet::StartWorkers() {
-  if (!workers_.empty()) {
-    return;
+bool ShardSet::OpenWindow(SimTime deadline) {
+  for (std::vector<Handoff>& outbox : outbox_) {
+    for (Handoff& h : outbox) {
+      shards_[h.dst]->ScheduleAt(h.when, std::move(h.fn));
+      ++stats_injected_;
+    }
+    outbox.clear();
   }
-  workers_.reserve(static_cast<std::size_t>(config_.threads));
-  for (int i = 0; i < config_.threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+  bool any = false;
+  SimTime next = 0;
+  for (std::size_t k = 0; k < shard_count_; ++k) {
+    SimTime t;
+    if (shards_[k]->NextEventTime(&t) && (!any || t < next)) {
+      next = t;
+      any = true;
+    }
   }
+  if (!any || next > deadline) {
+    return false;
+  }
+  // Every event in [next, next + lookahead) can run without hearing from
+  // another shard: a handoff sent at time t arrives no earlier than
+  // t + lookahead >= next + lookahead, i.e. strictly past the window.
+  window_end_ = next + config_.lookahead - 1;
+  if (window_end_ > deadline || window_end_ < next) {  // clamp + overflow
+    window_end_ = deadline;
+  }
+  ++stats_windows_;
+  return true;
 }
 
-void ShardSet::WorkerLoop(int worker_index) {
-  std::uint64_t seen_epoch = 0;
+void ShardSet::RunShare(std::size_t t, SimTime deadline) {
+  const auto threads = static_cast<std::size_t>(config_.threads);
   for (;;) {
-    SimTime window_end;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_work_.wait(lk,
-                    [&] { return stopping_ || epoch_ != seen_epoch; });
-      if (stopping_) {
-        return;
-      }
-      seen_epoch = epoch_;
-      window_end = window_end_;
-    }
     std::size_t n = 0;
-    for (std::size_t k = static_cast<std::size_t>(worker_index);
-         k < shard_count_; k += static_cast<std::size_t>(config_.threads)) {
+    for (std::size_t k = t; k < shard_count_; k += threads) {
       if (enter_hook_) {
         enter_hook_(k);
       }
-      n += shards_[k]->RunUntil(window_end);
+      n += shards_[k]->RunUntil(window_end_);
     }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      window_executed_ += n;
-      ++workers_done_;
+    std::unique_lock<std::mutex> lk(mu_);
+    run_executed_ += n;
+    if (++arrived_ < threads) {
+      const std::uint64_t generation = generation_;
+      cv_.wait(lk, [&] { return generation_ != generation; });
+    } else {
+      arrived_ = 0;
+      window_open_ = OpenWindow(deadline);
+      ++generation_;
+      cv_.notify_all();
     }
-    cv_done_.notify_one();
+    if (!window_open_) {
+      return;
+    }
   }
 }
 
-void ShardSet::RunWindowOnWorkers(SimTime window_end) {
-  std::unique_lock<std::mutex> lk(mu_);
-  window_end_ = window_end;
-  workers_done_ = 0;
-  window_executed_ = 0;
-  ++epoch_;
-  cv_work_.notify_all();
-  cv_done_.wait(lk, [&] { return workers_done_ == config_.threads; });
-}
-
-std::size_t ShardSet::RunParallel(SimTime deadline) {
-  StartWorkers();
-  std::size_t total = 0;
-  for (;;) {
-    DrainOutboxes();
-    bool any = false;
-    SimTime next = 0;
-    for (std::size_t k = 0; k < shard_count_; ++k) {
-      SimTime t;
-      if (shards_[k]->NextEventTime(&t) && (!any || t < next)) {
-        next = t;
-        any = true;
-      }
+std::size_t ShardSet::RunParallel(SimTime deadline) noexcept {
+  run_executed_ = 0;
+  if (OpenWindow(deadline)) {
+    std::vector<std::jthread> helpers;
+    for (int t = 1; t < config_.threads; ++t) {
+      helpers.emplace_back(
+          [this, t, deadline] { RunShare(static_cast<std::size_t>(t), deadline); });
     }
-    if (!any || next > deadline) {
-      break;
-    }
-    // Every event in [next, next + lookahead) can run without hearing from
-    // another shard: a handoff sent at time t arrives no earlier than
-    // t + lookahead >= next + lookahead, i.e. strictly past the window.
-    SimTime window_end = next + config_.lookahead - 1;
-    if (window_end > deadline || window_end < next) {  // clamp + overflow
-      window_end = deadline;
-    }
-    RunWindowOnWorkers(window_end);
-    total += window_executed_;
-    ++stats_windows_;
-  }
-  DrainOutboxes();
+    RunShare(0, deadline);
+  }  // the helpers join here
   for (std::size_t k = 0; k < shard_count_; ++k) {
     shards_[k]->RunUntil(deadline);
   }
-  return total;
+  return run_executed_;
 }
 
 std::size_t ShardSet::RunUntil(SimTime deadline) {

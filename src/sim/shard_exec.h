@@ -14,21 +14,21 @@
 //   * kSharded — one Simulator per shard, executed on one thread as a
 //     globally time-ordered merge (a lazy min-heap over shard clocks; equal
 //     timestamps break ties by shard index). The default for `--topo`.
-//   * kParallel — conservative parallel DES: the coordinator computes a
-//     window [next, next + lookahead), worker threads run their shards'
-//     events inside the window concurrently, and handoffs — which the
-//     lookahead guarantees land strictly beyond the window — wait in a
-//     plain per-source outbox and are injected at the barrier in (src
-//     shard, post order), so execution is deterministic for a fixed seed and
-//     any thread count.
+//   * kParallel — conservative parallel DES: the caller of RunUntil and
+//     threads − 1 helpers started for that call run their shards through
+//     each window [next, next + lookahead) and meet at one barrier, where
+//     the last to arrive injects the handoffs — which the lookahead
+//     guarantees land strictly beyond the window — from per-source outboxes
+//     in (src shard, post order) and opens the next window, so execution is
+//     deterministic for a fixed seed and any thread count.
 //
 // Lookahead comes from the topology: the minimum over all cross-shard links
 // of (propagation delay + one serial byte time); a handoff posted at time t
 // may not be scheduled before t + lookahead, and Post() enforces that with
-// an invariant. An outbox needs no lock: only the worker running its source
-// shard appends to it during a window, and only the coordinator drains it,
-// at the barrier, while every worker is parked; the barrier mutex orders
-// the two.
+// an invariant. An outbox needs no lock: only the thread running its source
+// shard appends to it during a window, and only the last thread to reach
+// the barrier drains it, while every other thread waits; the barrier mutex
+// orders the two.
 #ifndef SRC_SIM_SHARD_EXEC_H_
 #define SRC_SIM_SHARD_EXEC_H_
 
@@ -39,7 +39,6 @@
 #include <memory>
 #include <mutex>
 #include <queue>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -62,7 +61,7 @@ class ShardSet {
   struct Config {
     std::size_t shards = 1;
     Mode mode = Mode::kSharded;
-    // Worker threads (kParallel only; clamped to [1, shards]).
+    // Threads, the caller included (kParallel only; clamped to [1, shards]).
     int threads = 1;
     // Conservative lookahead (ns). Post() rejects handoffs closer than this.
     // Ignored in kUnified, where every "handoff" is a same-queue insert.
@@ -70,7 +69,7 @@ class ShardSet {
   };
 
   explicit ShardSet(const Config& config);
-  ~ShardSet();
+  ~ShardSet() = default;
   ShardSet(const ShardSet&) = delete;
   ShardSet& operator=(const ShardSet&) = delete;
 
@@ -87,8 +86,8 @@ class ShardSet {
   // The simulator whose event is currently executing (merge cursor in
   // kSharded, the single sim in kUnified). Valid on the executing thread
   // only; a tracer given this set reads it so ring/pcap timestamps come
-  // from the shard that actually recorded the crossing. Parallel-mode
-  // workers never touch it — they install per-shard tracers instead.
+  // from the shard that actually recorded the crossing. kParallel never
+  // touches it — its threads install per-shard tracers instead.
   Simulator* current_sim() const { return current_; }
   SimTime CurrentTime() const { return current_->Now(); }
 
@@ -100,9 +99,10 @@ class ShardSet {
   void Post(std::size_t src, std::size_t dst, SimTime when,
             std::function<void()> fn);
 
-  // Installed hook runs on the worker thread before a shard executes a
-  // parallel window; the city runner uses it to install the shard's
-  // thread_local ambient tracer. kParallel only; set before RunUntil.
+  // Installed hook runs on the thread about to run a shard's parallel window
+  // (a helper or the caller); the city runner installs the shard's
+  // thread_local tracer with it, so after a run the caller's slot holds the
+  // tracer of the last shard it ran. kParallel only; set before RunUntil.
   void set_shard_enter_hook(std::function<void(std::size_t)> hook) {
     enter_hook_ = std::move(hook);
   }
@@ -131,19 +131,19 @@ class ShardSet {
 
   std::size_t RunUnified(SimTime deadline);
   std::size_t RunShardedMerge(SimTime deadline);
-  std::size_t RunParallel(SimTime deadline);
+  // noexcept: a throw would strand the helpers at the barrier, unjoinable,
+  // so it ends the program, as a throw on a helper does.
+  std::size_t RunParallel(SimTime deadline) noexcept;
 
-  // Barrier-time drain: moves every outbox entry into its destination
-  // simulator, sources in index order, each outbox in post order. Runs on
-  // the coordinator with all workers parked. The event heap breaks
+  // The barrier's work, on the last thread to reach it while the others
+  // wait: moves every outbox entry into its destination simulator, sources
+  // in index order, each outbox in post order (the event heap breaks
   // same-instant ties by scheduling order, so same-instant handoffs run in
-  // (src, post order) on every thread count.
-  void DrainOutboxes();
-
-  // Parallel worker machinery.
-  void StartWorkers();
-  void WorkerLoop(int worker_index);
-  void RunWindowOnWorkers(SimTime window_end);
+  // (src, post order) on every thread count), then opens the next window
+  // (window_end_). False when no shard has an event by `deadline`.
+  bool OpenWindow(SimTime deadline);
+  // Thread t's share of a parallel run: shards k ≡ t (mod threads).
+  void RunShare(std::size_t t, SimTime deadline);
 
   Config config_;
   std::size_t shard_count_;
@@ -153,8 +153,8 @@ class ShardSet {
   Simulator* current_ = nullptr;
 
   // kParallel handoffs, indexed by source shard. outbox_[s] and posted_[s]
-  // are written only by the worker running s (or the coordinator at a
-  // barrier), and the barrier mutex orders the two.
+  // are written only by the thread running s (or the last thread to reach
+  // the barrier), and the barrier mutex orders the two.
   std::vector<std::vector<Handoff>> outbox_;
   std::vector<std::uint64_t> posted_;
 
@@ -165,24 +165,22 @@ class ShardSet {
       merge_heap_;
 
   // Counters. serial_posted_/injected/windows/merge_steps are touched only
-  // by the coordinating thread.
+  // by one thread at a time (in kParallel, the last to reach the barrier).
   std::uint64_t serial_posted_ = 0;
   std::uint64_t stats_injected_ = 0;
   std::uint64_t stats_windows_ = 0;
   std::uint64_t stats_merge_steps_ = 0;
 
-  // Worker pool (kParallel). Workers sleep between windows; an epoch bump
-  // under the mutex publishes the next window_end and doubles as the
-  // happens-before edge that hands shard state worker->coordinator->worker.
-  std::vector<std::thread> workers_;
+  // The kParallel barrier. The last thread to bump arrived_ under mu_ does
+  // the barrier's work and bumps generation_, waking the others; mu_ orders
+  // window_end_ and every shard's state between the threads.
   std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  std::uint64_t epoch_ = 0;
+  std::condition_variable cv_;
+  std::uint64_t generation_ = 0;
+  std::size_t arrived_ = 0;
   SimTime window_end_ = 0;
-  int workers_done_ = 0;
-  std::size_t window_executed_ = 0;  // summed under mu_
-  bool stopping_ = false;
+  bool window_open_ = false;
+  std::size_t run_executed_ = 0;  // this RunUntil's events, summed under mu_
 };
 
 }  // namespace upr

@@ -178,7 +178,6 @@ void KissTnc::OnRadioReceive(const Bytes& wire, bool corrupted) {
   trace::IfScope tscope(serial_->name(), trace::Dir::kTx);
   Bytes stream;
   KissEncodeInto(body, &stream);
-  serial_bytes_to_host_ += stream.size();
   serial_->Write(stream);
 }
 

@@ -61,7 +61,10 @@ class KissTnc {
   std::uint64_t frames_filtered() const { return frames_filtered_; }
   std::uint64_t fcs_errors() const { return fcs_errors_; }
   std::uint64_t frames_from_host() const { return frames_from_host_; }
-  std::uint64_t serial_bytes_to_host() const { return serial_bytes_to_host_; }
+  // Bytes written toward the host, dropped ones included.
+  std::uint64_t serial_bytes_to_host() const {
+    return serial_->bytes_sent() + serial_->bytes_dropped();
+  }
   bool in_kiss_mode() const { return kiss_mode_; }
 
   // KISS parameter plumbing observability (--netstat "kiss params" lines):
@@ -93,7 +96,6 @@ class KissTnc {
   std::uint64_t frames_filtered_ = 0;
   std::uint64_t fcs_errors_ = 0;
   std::uint64_t frames_from_host_ = 0;
-  std::uint64_t serial_bytes_to_host_ = 0;
   std::uint64_t param_updates_ = 0;
   SimTime last_param_update_ = 0;
   std::uint64_t param_errors_ = 0;

@@ -16,8 +16,8 @@
 // hook is guarded by a single `Active() != nullptr` branch — the disabled
 // cost per layer crossing is one predictable-not-taken branch. All strings,
 // copies and formatting happen only inside the taken branch. The ambient
-// tracer (like BufLayerScope's ambient layer) is thread_local: each shard
-// worker of the parallel city executor installs its own shard's tracer, so
+// tracer (like BufLayerScope's ambient layer) is thread_local: each thread
+// of the parallel city executor installs the tracer of the shard it runs, so
 // concurrent shards record into disjoint rings/files without locks, and the
 // classic single-threaded scenarios behave exactly as before.
 #ifndef SRC_TRACE_TRACE_H_
@@ -221,8 +221,8 @@ class Tracer {
 };
 
 namespace detail {
-// thread_local: each parallel-city worker thread carries its own ambient
-// tracer and interface scope; the main thread's slots behave exactly like
+// thread_local: each parallel-city thread carries its own ambient tracer
+// and interface scope; a single-threaded run's slots behave exactly like
 // the old process-wide globals. Function-local thread_locals behind inline
 // accessors, NOT `extern thread_local` variables — header-inline code
 // touching an extern TLS variable goes through the compiler's TLS wrapper

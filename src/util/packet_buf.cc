@@ -50,8 +50,8 @@ namespace {
 // The slab free list. Blocks are vectors whose capacity is exactly
 // kBufSlabSize (they were first allocated by TakeStorage below), so a
 // recycled block's resize() never reallocates. thread_local so each parallel
-// shard worker recycles its own slabs lock-free; a PacketBuf never migrates
-// between threads (a cross-shard handoff carries an owned Bytes instead).
+// city thread recycles its own slabs lock-free; a PacketBuf never crosses
+// shards (a cross-shard handoff carries an owned Bytes instead).
 thread_local std::vector<Bytes> g_buf_pool;
 thread_local BufPoolStats g_buf_pool_stats;
 

@@ -48,7 +48,7 @@ struct BufLayerStats {
 };
 
 // Per-layer counters (per-thread: the classic scenarios are single-threaded
-// and see the old process-wide behaviour; each parallel-city shard worker
+// and see the old process-wide behaviour; each parallel-city thread
 // accumulates its own counters without synchronization).
 BufLayerStats& BufStatsFor(BufLayer layer);
 BufLayerStats BufStatsTotal();

@@ -74,6 +74,7 @@ class SyntheticWorkload {
   static constexpr std::size_t kShards = 4;
   static constexpr int kSteps = 200;
   static constexpr SimTime kLookahead = 1000;
+  static constexpr SimTime kEnd = 10'000'000;
 
   SyntheticWorkload(ShardSet::Mode mode, int threads)
       : set_({.shards = kShards,
@@ -86,7 +87,14 @@ class SyntheticWorkload {
     }
   }
 
-  void Run() { executed_ = set_.RunUntil(10'000'000); }
+  void Run() { executed_ = set_.RunUntil(kEnd); }
+  // The same run cut into RunUntil calls `slice` apart, then to the end.
+  void RunSliced(SimTime slice) {
+    for (SimTime t = slice; !set_.Idle(); t += slice) {
+      executed_ += set_.RunUntil(t);
+    }
+    executed_ += set_.RunUntil(kEnd);
+  }
 
   const std::vector<std::vector<std::string>>& logs() const { return logs_; }
   ShardStats stats() const { return set_.stats(); }
@@ -163,6 +171,55 @@ TEST(ShardSet, AllModesProduceIdenticalPerShardSchedules) {
   EXPECT_EQ(p4.posted, serial.posted);
   EXPECT_EQ(p4.injected, p4.posted);
   EXPECT_GT(p4.windows, 0u);
+}
+
+// Each RunUntil starts its helper threads afresh and joins them before it
+// returns, so a run cut into many calls must match one call: the same
+// per-shard schedule, the same handoffs and the same event count. A cut
+// inside a window splits it in two, so the window count grows with the
+// cuts, but it is the same on every thread count.
+TEST(ShardSet, ParallelSlicedRunMatchesOneCall) {
+  constexpr SimTime kSlice = 777;  // cuts windows at no fixed phase
+  SyntheticWorkload whole(ShardSet::Mode::kParallel, 1);
+  whole.Run();
+  SyntheticWorkload sliced1(ShardSet::Mode::kParallel, 1);
+  sliced1.RunSliced(kSlice);
+  for (int threads = 1; threads <= 4; ++threads) {
+    SyntheticWorkload sliced(ShardSet::Mode::kParallel, threads);
+    sliced.RunSliced(kSlice);
+    EXPECT_EQ(sliced.logs(), whole.logs()) << threads << " threads";
+    EXPECT_EQ(sliced.executed(), whole.executed()) << threads << " threads";
+    const ShardStats s = sliced.stats();
+    EXPECT_EQ(s.posted, whole.stats().posted) << threads << " threads";
+    EXPECT_EQ(s.injected, whole.stats().injected) << threads << " threads";
+    EXPECT_GT(s.windows, whole.stats().windows) << threads << " threads";
+    EXPECT_EQ(s.windows, sliced1.stats().windows) << threads << " threads";
+    EXPECT_TRUE(sliced.Idle());
+  }
+}
+
+// A set destroyed between RunUntil calls, with events still pending on
+// every shard, owns no thread that could run them: destruction only frees.
+TEST(ShardSet, ParallelSetDestroyedWithPendingEventsExitsCleanly) {
+  int ran = 0;
+  int late = 0;
+  {
+    ShardSet set({.shards = 4,
+                  .mode = ShardSet::Mode::kParallel,
+                  .threads = 4,
+                  .lookahead = 1000});
+    for (std::size_t s = 0; s < 4; ++s) {
+      set.shard(s)->ScheduleAt(100 + s, [&set, s] {
+        set.Post(s, (s + 1) % 4, set.shard(s)->Now() + 1000, [] {});
+      });
+      set.shard(s)->ScheduleAt(50'000, [&late] { ++late; });
+    }
+    ran = static_cast<int>(set.RunUntil(10'000));
+    EXPECT_FALSE(set.Idle());
+    EXPECT_EQ(set.stats().injected, 4u);
+  }
+  EXPECT_EQ(ran, 8);  // the four posts and the four handoffs they carried
+  EXPECT_EQ(late, 0);
 }
 
 TEST(ShardSet, ParallelRunsAreRepeatable) {

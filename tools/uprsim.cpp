@@ -123,9 +123,9 @@ void Usage(const char* argv0) {
       "                     the testbed: C radio channels (1..250) of S\n"
       "                     stations (1..2000) each, one gateway per channel,\n"
       "                     trunk backbone, seeded ping traffic\n"
-      "  --parallel N       run the city topology on N worker threads\n"
-      "                     (conservative parallel DES; deterministic for a\n"
-      "                     fixed seed + thread count)\n"
+      "  --parallel N       run the city topology on N threads, the caller\n"
+      "                     included (conservative parallel DES; deterministic\n"
+      "                     for a fixed seed at any N)\n"
       "  --unsharded        run the city topology on one shared event queue\n"
       "                     (the pre-shard reference; tracediff gate)\n"
       "  --realtime         pace events against the wall clock so external\n"
@@ -329,10 +329,11 @@ class Scene {
     }
   }
 
-  // Runs to --duration, or paced by `rt` until `done` says the workload is.
-  void RunFor(const std::function<bool()>& done) {
+  // Runs to --duration, paced by `rt` under --realtime: ping and telnet stop
+  // by the clock either way, so a paced run prints what a simulated one does.
+  void RunFor() {
     if (rt != nullptr) {
-      rt->RunUntil(Seconds(opt.duration), done);
+      rt->RunUntil(Seconds(opt.duration));
     } else {
       sim->RunUntil(Seconds(opt.duration));
     }
@@ -435,7 +436,7 @@ class TestbedScene : public Scene {
       tb_.sim().Schedule(Seconds(opt.duration * 0.4),
                          [this] { telnet_->SendCommand("echo 73 de uprsim"); });
       tb_.sim().Schedule(Seconds(opt.duration * 0.8), [this] { telnet_->Quit(); });
-      RunFor(nullptr);
+      RunFor();
       return echoed_ ? 0 : 1;
     }
     // Three pings in turn.
@@ -457,7 +458,7 @@ class TestbedScene : public Scene {
       });
     };
     ping(wanted);
-    RunFor([&] { return replies == wanted; });
+    RunFor();
     return replies == wanted ? 0 : 1;
   }
 
@@ -792,8 +793,8 @@ bool StartTracers(const Options& opt, Scene& scene,
     *install = std::make_unique<trace::ScopedInstall>(tracers->front().get());
     return true;
   }
-  // Warm the panic-hook registration on the main thread before workers race
-  // to Install their shard tracers.
+  // Warm the panic-hook registration on the main thread before helper
+  // threads race to Install their shard tracers.
   trace::Install(nullptr);
   set->set_shard_enter_hook([tracers](std::size_t k) { trace::Install((*tracers)[k].get()); });
   return true;
@@ -852,6 +853,11 @@ int RunScene(const Options& opt, const SceneKind& kind) {
 
   scene->rt = rt.get();
   const int status = scene->Run();
+  // The caller of a parallel run ran shards too, and its tracer slot still
+  // holds the last one's tracer: clear it before the tracers go.
+  if (!tracers.empty() && trace_install == nullptr) {
+    trace::Install(nullptr);
+  }
   if (status == 2) {
     return 2;
   }
