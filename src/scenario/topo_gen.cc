@@ -101,7 +101,6 @@ CityTopology::CityTopology(const CityConfig& config) : config_(config) {
                 config_.spec.channels, config_.spec.stations);
   ShardSet::Config sc;
   sc.shards = config_.spec.channels;
-  sc.mode = config_.mode;
   sc.threads = config_.threads;
   // Conservative lookahead: nothing crosses a shard boundary faster than a
   // trunk delivers, and a trunk delivers no earlier than transmit-finish +
@@ -387,8 +386,8 @@ ChannelTraffic CityTopology::TrafficTotal() const {
 }
 
 std::string CityTopology::FormatSummary() const {
-  // Stable, mode-independent text: the two-run / cross-mode determinism
-  // gates compare this byte-for-byte.
+  // Stable, thread-count-independent text: the determinism gates compare
+  // this byte-for-byte.
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line), "city %zux%zu trunks=%zu digis=%zu\n",

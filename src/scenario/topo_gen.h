@@ -24,7 +24,7 @@
 // channel (exercising the backbone), and every sixteenth reaches its
 // gateway through a digipeater path. All randomness is per-station
 // (MixSeed), consumed only on the station's own shard, so the schedule is
-// identical across unified / sharded / parallel execution.
+// identical at every thread count.
 #ifndef SRC_SCENARIO_TOPO_GEN_H_
 #define SRC_SCENARIO_TOPO_GEN_H_
 
@@ -59,6 +59,8 @@ bool ParseCitySpec(std::string_view text, CitySpec* out, std::string* error);
 
 struct CityConfig {
   CitySpec spec;
+  // Kept only because perfbench sets it. Nothing reads it: the executor
+  // depends on `threads` alone.
   ShardSet::Mode mode = ShardSet::Mode::kSharded;
   int threads = 1;
   std::uint64_t seed = 42;
@@ -111,7 +113,7 @@ class CityTopology {
   // "connected NET/ROM backbone" gate).
   bool BackboneConnected() const;
 
-  // Runs the topology (all modes) up to `duration` of simulated time.
+  // Runs the topology up to `duration` of simulated time.
   // Returns events executed.
   std::size_t Run(SimTime duration);
 

@@ -7,132 +7,63 @@
 
 namespace upr {
 
-ShardSet::ShardSet(const Config& config)
-    : config_(config), shard_count_(config.shards == 0 ? 1 : config.shards) {
-  config_.threads = std::max(1, config_.threads);
-  config_.threads =
-      std::min<int>(config_.threads, static_cast<int>(shard_count_));
-  if (config_.lookahead < 1) {
-    config_.lookahead = 1;
-  }
-  const std::size_t sims =
-      config_.mode == Mode::kUnified ? 1 : shard_count_;
-  sims_.reserve(sims);
-  for (std::size_t i = 0; i < sims; ++i) {
+ShardSet::ShardSet(const Config& config) : config_(config) {
+  const std::size_t shards = std::max<std::size_t>(1, config_.shards);
+  config_.threads = std::clamp(config_.threads, 1, static_cast<int>(shards));
+  config_.lookahead = std::max<SimTime>(1, config_.lookahead);
+  sims_.reserve(shards);
+  for (std::size_t k = 0; k < shards; ++k) {
     sims_.push_back(std::make_unique<Simulator>());
   }
-  shards_.resize(shard_count_);
-  for (std::size_t k = 0; k < shard_count_; ++k) {
-    shards_[k] = config_.mode == Mode::kUnified ? sims_[0].get()
-                                                : sims_[k].get();
-  }
-  current_ = shards_[0];
-  if (config_.mode == Mode::kParallel) {
-    outbox_.resize(shard_count_);
-    posted_.resize(shard_count_);
-  }
+  outbox_.resize(shards);
+  posted_.resize(shards);
 }
 
 Simulator* ShardSet::shard(std::size_t k) const {
-  UPR_INVARIANT(k < shard_count_, "shard index %zu out of range (%zu shards)",
-                k, shard_count_);
-  return shards_[k];
+  UPR_INVARIANT(k < sims_.size(), "shard index %zu out of range (%zu shards)",
+                k, sims_.size());
+  return sims_[k].get();
 }
 
 void ShardSet::Post(std::size_t src, std::size_t dst, SimTime when,
                     std::function<void()> fn) {
-  UPR_INVARIANT(src < shard_count_ && dst < shard_count_,
+  UPR_INVARIANT(src < sims_.size() && dst < sims_.size(),
                 "Post shard out of range (%zu -> %zu, %zu shards)", src, dst,
-                shard_count_);
-  if (config_.mode != Mode::kParallel) {
-    // Serial modes schedule straight into the destination queue with the
-    // same timestamp the parallel path would use — this is what keeps the
-    // three modes trace-equivalent.
-    ++serial_posted_;
-    shards_[dst]->ScheduleAt(when, std::move(fn));
-    if (config_.mode == Mode::kSharded) {
-      merge_heap_.push({when, dst});
-    }
-    return;
-  }
+                sims_.size());
   // Runs on the thread that owns src: posted_[src] is that thread's alone.
   ++posted_[src];
   if (src == dst) {
-    shards_[dst]->ScheduleAt(when, std::move(fn));
+    sims_[dst]->ScheduleAt(when, std::move(fn));
     return;
   }
-  Simulator* src_sim = shards_[src];
+  const Simulator* src_sim = sims_[src].get();
   UPR_INVARIANT(when >= src_sim->Now() + config_.lookahead,
                 "cross-shard post at %lld violates lookahead %lld (src now "
                 "%lld)",
                 static_cast<long long>(when),
                 static_cast<long long>(config_.lookahead),
                 static_cast<long long>(src_sim->Now()));
+  if (config_.threads == 1) {
+    sims_[dst]->ScheduleAt(when, std::move(fn));
+    ++stats_injected_;
+    return;
+  }
   outbox_[src].push_back({when, dst, std::move(fn)});
-}
-
-std::size_t ShardSet::RunUnified(SimTime deadline) {
-  current_ = shards_[0];
-  return shards_[0]->RunUntil(deadline);
-}
-
-std::size_t ShardSet::RunShardedMerge(SimTime deadline) {
-  // Rebuild the candidate heap from scratch: entries are (time, shard)
-  // pairs, lazily invalidated — on pop we re-check the shard's real next
-  // event time and re-push when the entry went stale (ran, cancelled, or
-  // superseded). Ties execute lowest shard index first, which is the
-  // deterministic rule the two-run gate pins.
-  while (!merge_heap_.empty()) {
-    merge_heap_.pop();
-  }
-  for (std::size_t k = 0; k < shard_count_; ++k) {
-    SimTime t;
-    if (shards_[k]->NextEventTime(&t)) {
-      merge_heap_.push({t, k});
-    }
-  }
-  std::size_t n = 0;
-  while (!merge_heap_.empty()) {
-    const auto [t, k] = merge_heap_.top();
-    if (t > deadline) {
-      break;
-    }
-    merge_heap_.pop();
-    SimTime real;
-    if (!shards_[k]->NextEventTime(&real)) {
-      continue;  // stale: the event ran or was cancelled
-    }
-    if (real != t) {
-      merge_heap_.push({real, k});
-      continue;
-    }
-    current_ = shards_[k];
-    shards_[k]->Step();
-    ++n;
-    ++stats_merge_steps_;
-    if (shards_[k]->NextEventTime(&real)) {
-      merge_heap_.push({real, k});
-    }
-  }
-  for (std::size_t k = 0; k < shard_count_; ++k) {
-    shards_[k]->RunUntil(deadline);  // settle every shard clock at deadline
-  }
-  return n;
 }
 
 bool ShardSet::OpenWindow(SimTime deadline) {
   for (std::vector<Handoff>& outbox : outbox_) {
     for (Handoff& h : outbox) {
-      shards_[h.dst]->ScheduleAt(h.when, std::move(h.fn));
+      sims_[h.dst]->ScheduleAt(h.when, std::move(h.fn));
       ++stats_injected_;
     }
     outbox.clear();
   }
   bool any = false;
   SimTime next = 0;
-  for (std::size_t k = 0; k < shard_count_; ++k) {
+  for (const auto& sim : sims_) {
     SimTime t;
-    if (shards_[k]->NextEventTime(&t) && (!any || t < next)) {
+    if (sim->NextEventTime(&t) && (!any || t < next)) {
       next = t;
       any = true;
     }
@@ -155,11 +86,11 @@ void ShardSet::RunShare(std::size_t t, SimTime deadline) {
   const auto threads = static_cast<std::size_t>(config_.threads);
   for (;;) {
     std::size_t n = 0;
-    for (std::size_t k = t; k < shard_count_; k += threads) {
+    for (std::size_t k = t; k < sims_.size(); k += threads) {
       if (enter_hook_) {
         enter_hook_(k);
       }
-      n += shards_[k]->RunUntil(window_end_);
+      n += sims_[k]->RunUntil(window_end_);
     }
     std::unique_lock<std::mutex> lk(mu_);
     run_executed_ += n;
@@ -178,7 +109,7 @@ void ShardSet::RunShare(std::size_t t, SimTime deadline) {
   }
 }
 
-std::size_t ShardSet::RunParallel(SimTime deadline) noexcept {
+std::size_t ShardSet::RunUntil(SimTime deadline) noexcept {
   run_executed_ = 0;
   if (OpenWindow(deadline)) {
     std::vector<std::jthread> helpers;
@@ -188,22 +119,10 @@ std::size_t ShardSet::RunParallel(SimTime deadline) noexcept {
     }
     RunShare(0, deadline);
   }  // the helpers join here
-  for (std::size_t k = 0; k < shard_count_; ++k) {
-    shards_[k]->RunUntil(deadline);
+  for (const auto& sim : sims_) {
+    sim->RunUntil(deadline);  // settle every shard clock at deadline
   }
   return run_executed_;
-}
-
-std::size_t ShardSet::RunUntil(SimTime deadline) {
-  switch (config_.mode) {
-    case Mode::kUnified:
-      return RunUnified(deadline);
-    case Mode::kSharded:
-      return RunShardedMerge(deadline);
-    case Mode::kParallel:
-      return RunParallel(deadline);
-  }
-  return 0;
 }
 
 bool ShardSet::Idle() {
@@ -218,10 +137,8 @@ bool ShardSet::Idle() {
 
 ShardStats ShardSet::stats() const {
   ShardStats s;
-  s.posted = serial_posted_;
   s.injected = stats_injected_;
   s.windows = stats_windows_;
-  s.merge_steps = stats_merge_steps_;
   for (std::uint64_t n : posted_) {
     s.posted += n;
   }

@@ -1,5 +1,6 @@
 #include "src/trace/pcapng_reader.h"
 
+#include <cstdio>
 #include <functional>
 
 #include "src/trace/pcapng_writer.h"
@@ -161,6 +162,33 @@ std::optional<PcapngFile> PcapngFile::Parse(ByteView file, std::string* error) {
     return std::nullopt;
   }
   return out;
+}
+
+std::optional<PcapngFile> PcapngFile::Load(const std::string& path,
+                                           std::string* error) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    Fail(error, "cannot open " + path);
+    return std::nullopt;
+  }
+  Bytes raw;
+  std::uint8_t buf[64 * 1024];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
+    raw.insert(raw.end(), buf, buf + n);
+  }
+  const bool read_ok = std::ferror(f) == 0;
+  std::fclose(f);
+  if (!read_ok) {
+    Fail(error, "read error on " + path);
+    return std::nullopt;
+  }
+  std::string parse_error;
+  std::optional<PcapngFile> file = Parse(raw, &parse_error);
+  if (!file) {
+    Fail(error, path + ": " + parse_error);
+  }
+  return file;
 }
 
 }  // namespace upr::trace

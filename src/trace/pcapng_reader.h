@@ -45,6 +45,9 @@ struct PcapngFile {
   // in-repo writer produces.
   static std::optional<PcapngFile> Parse(ByteView file,
                                          std::string* error = nullptr);
+  // Reads and parses the file at `path`; errors name the path.
+  static std::optional<PcapngFile> Load(const std::string& path,
+                                        std::string* error = nullptr);
 };
 
 }  // namespace upr::trace

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
-#include "src/sim/shard_exec.h"
+#include "src/trace/pcapng_reader.h"
 #include "src/trace/pcapng_writer.h"
 #include "src/util/panic.h"
 
@@ -115,7 +116,7 @@ std::string Entry::ToString() const {
 }
 
 Tracer::Tracer(Simulator* sim, TracerConfig config)
-    : sim_(sim), sims_{sim}, config_(std::move(config)) {
+    : sim_(sim), config_(std::move(config)) {
   if (config_.ring_capacity == 0) {
     config_.ring_capacity = 1;
   }
@@ -149,53 +150,19 @@ Entry& Tracer::NextSlot() {
 void Tracer::Record(Layer layer, Kind kind, Dir dir, std::string_view iface,
                     ByteView data, std::string note) {
   Settle();
-  Enter(NowForEntry(), layer, kind, dir, iface.empty() ? CurrentIf() : iface, data,
+  Enter(sim_->Now(), layer, kind, dir, iface.empty() ? CurrentIf() : iface, data,
         std::move(note));
-}
-
-void Tracer::set_shards(const ShardSet* shards) {
-  shards_ = shards;
-  sims_.clear();
-  for (std::size_t k = 0; k < shards->shard_count(); ++k) {
-    sims_.push_back(shards->shard(k));
-  }
-}
-
-SimTime Tracer::NowForEntry() const {
-  return shards_ != nullptr ? shards_->CurrentTime() : sim_->Now();
-}
-
-std::uint32_t Tracer::IndexOf(const Simulator* sim) const {
-  return static_cast<std::uint32_t>(std::find(sims_.begin(), sims_.end(), sim) - sims_.begin());
 }
 
 void Tracer::RecordDeliverAt(const Simulator* sim, SimTime when, std::uint64_t seq,
                              std::string_view iface, std::uint8_t byte) {
-  std::uint32_t k = IndexOf(sim);
-  if (k == sims_.size()) {
-    sims_.push_back(sim);
-  }
-  pending_.push_back({when, seq, k, byte, std::string(iface)});
+  pending_.push_back({when, seq, sim, byte, std::string(iface)});
   std::push_heap(pending_.begin(), pending_.end(), Later);
 }
 
-bool Tracer::Reached(const Pending& p) const {
-  const Simulator* sim = sims_[p.sim];
-  if (sim->Reached(p.when, p.seq)) {
-    return true;
-  }
-  if (shards_ == nullptr) {
-    return false;
-  }
-  // The merge runs every shard's events in (time, shard index) order, so
-  // another shard's byte has landed once the running event is past it in
-  // that order.
-  const Simulator* now = shards_->current_sim();
-  return now != sim && (p.when < now->Now() || (p.when == now->Now() && p.sim < IndexOf(now)));
-}
-
 void Tracer::Settle() {
-  while (!pending_.empty() && Reached(pending_.front())) {
+  while (!pending_.empty() &&
+         pending_.front().sim->Reached(pending_.front().when, pending_.front().seq)) {
     std::pop_heap(pending_.begin(), pending_.end(), Later);
     const Pending& p = pending_.back();
     Enter(p.when, Layer::kSerial, Kind::kSerialDeliver, Dir::kRx, p.iface,
@@ -256,7 +223,7 @@ void Tracer::RecordFrame(Layer layer, Kind kind, Dir dir, std::string_view iface
       comment += note;
     }
     std::uint32_t id = pcap_->InterfaceId(iface.empty() ? "unnamed" : iface);
-    pcap_->WritePacket(id, NowForEntry(), wire,
+    pcap_->WritePacket(id, sim_->Now(), wire,
                        static_cast<std::uint32_t>(ax25.size() + 1), flags,
                        comment);
     stats_.pcap_packets = pcap_->packets();
@@ -287,7 +254,7 @@ void Tracer::RecordEtherFrame(Kind kind, Dir dir, std::string_view iface,
     }
     std::uint32_t id = pcap_->InterfaceId(iface.empty() ? "unnamed" : iface,
                                           kLinkTypeEthernet);
-    pcap_->WritePacket(id, NowForEntry(), frame.first(keep),
+    pcap_->WritePacket(id, sim_->Now(), frame.first(keep),
                        static_cast<std::uint32_t>(frame.size()), flags,
                        comment);
     stats_.pcap_packets = pcap_->packets();
@@ -312,18 +279,21 @@ std::vector<const Entry*> Tracer::RingSnapshot() const {
   return out;
 }
 
-std::string Tracer::FormatRing() const {
+std::string Tracer::FormatRing() const { return trace::FormatRing(RingSnapshot(), stats_); }
+
+std::string FormatRing(const std::vector<const Entry*>& entries,
+                       const TraceStats& stats) {
   std::string out = "=== trace ring (oldest first) ===\n";
-  for (const Entry* e : RingSnapshot()) {
+  for (const Entry* e : entries) {
     out += e->ToString();
     out += '\n';
   }
   char tail[160];
   std::snprintf(tail, sizeof(tail),
                 "%llu recorded, %llu evicted, %llu truncated\n",
-                static_cast<unsigned long long>(stats_.recorded),
-                static_cast<unsigned long long>(stats_.ring_evicted),
-                static_cast<unsigned long long>(stats_.truncated));
+                static_cast<unsigned long long>(stats.recorded),
+                static_cast<unsigned long long>(stats.ring_evicted),
+                static_cast<unsigned long long>(stats.truncated));
   out += tail;
   return out;
 }
@@ -334,6 +304,85 @@ void Tracer::Flush() {
     pcap_->Flush();
     stats_.pcap_bytes = pcap_->bytes_written();
   }
+}
+
+namespace {
+
+// Merge order: (timestamp, shard). Records are gathered shard by shard, each
+// in its own order, so a stable sort keeps that order among ties.
+constexpr auto kByTimeThenShard = [](const auto& a, const auto& b) {
+  return a.ts != b.ts ? a.ts < b.ts : a.shard < b.shard;
+};
+
+}  // namespace
+
+bool MergeShardTraces(const std::vector<std::unique_ptr<Tracer>>& shards,
+                      const std::string& pcap_path, std::string* ring,
+                      std::string* error) {
+  struct Record {
+    SimTime ts;
+    std::size_t shard;
+    const Entry* entry;
+  };
+  std::vector<Record> records;
+  TraceStats stats;
+  for (std::size_t k = 0; k < shards.size(); ++k) {
+    shards[k]->Flush();
+    stats.recorded += shards[k]->stats().recorded;
+    stats.truncated += shards[k]->stats().truncated;
+    for (const Entry* e : shards[k]->RingSnapshot()) {
+      records.push_back({e->ts, k, e});
+    }
+  }
+  std::stable_sort(records.begin(), records.end(), kByTimeThenShard);
+  // Each shard's ring holds its own newest entries, so the newest of all
+  // shards are all here.
+  const std::size_t keep =
+      std::min(records.size(), shards.front()->config().ring_capacity);
+  std::vector<const Entry*> newest;
+  for (std::size_t i = records.size() - keep; i < records.size(); ++i) {
+    newest.push_back(records[i].entry);
+  }
+  stats.ring_evicted = stats.recorded - keep;
+  *ring = FormatRing(newest, stats);
+  if (shards.size() == 1 || pcap_path.empty()) {
+    return true;
+  }
+
+  std::vector<PcapngFile> files;
+  for (const auto& t : shards) {
+    std::optional<PcapngFile> file = PcapngFile::Load(t->config().pcap_path, error);
+    if (!file) {
+      return false;
+    }
+    files.push_back(std::move(*file));
+  }
+  struct Packet {
+    std::uint64_t ts;
+    std::size_t shard;
+    const PcapngPacket* packet;
+  };
+  std::vector<Packet> packets;
+  for (std::size_t k = 0; k < files.size(); ++k) {
+    for (const PcapngPacket& p : files[k].packets) {
+      packets.push_back({p.timestamp, k, &p});
+    }
+  }
+  std::stable_sort(packets.begin(), packets.end(), kByTimeThenShard);
+  PcapngWriter out(pcap_path, static_cast<std::uint32_t>(shards.front()->config().snaplen));
+  if (!out.ok()) {
+    *error = "cannot open " + pcap_path;
+    return false;
+  }
+  for (const Packet& p : packets) {
+    const PcapngInterface& itf = files[p.shard].interfaces[p.packet->interface_id];
+    out.WritePacket(out.InterfaceId(itf.name, itf.link_type), static_cast<SimTime>(p.ts),
+                    p.packet->data, p.packet->orig_len, p.packet->flags, p.packet->comment);
+  }
+  for (const auto& t : shards) {
+    std::remove(t->config().pcap_path.c_str());
+  }
+  return true;
 }
 
 void DumpActiveRing(std::FILE* out) {

@@ -16,10 +16,10 @@
 // hook is guarded by a single `Active() != nullptr` branch — the disabled
 // cost per layer crossing is one predictable-not-taken branch. All strings,
 // copies and formatting happen only inside the taken branch. The ambient
-// tracer (like BufLayerScope's ambient layer) is thread_local: each thread
-// of the parallel city executor installs the tracer of the shard it runs, so
-// concurrent shards record into disjoint rings/files without locks, and the
-// classic single-threaded scenarios behave exactly as before.
+// tracer (like BufLayerScope's ambient layer) is thread_local: the city
+// executor installs the tracer of the shard it is about to run, so
+// concurrent shards record into disjoint rings/files without locks, and
+// MergeShardTraces puts their records back into one capture and one ring.
 #ifndef SRC_TRACE_TRACE_H_
 #define SRC_TRACE_TRACE_H_
 
@@ -32,10 +32,6 @@
 
 #include "src/sim/simulator.h"
 #include "src/util/byte_buffer.h"
-
-namespace upr {
-class ShardSet;
-}  // namespace upr
 
 namespace upr::trace {
 
@@ -123,12 +119,6 @@ class Tracer {
  public:
   // `sim` provides the event timestamps (nanosecond sim time).
   Tracer(Simulator* sim, TracerConfig config = {});
-  // Sharded execution on one thread: entries are stamped from whichever
-  // shard simulator `shards` is executing, not a fixed one, and a serial
-  // byte recorded by RecordDeliverAt() on one shard enters the ring where
-  // the shards' time-ordered merge would have run an event of its own.
-  // Call before the first record.
-  void set_shards(const ShardSet* shards);
   ~Tracer();
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
@@ -182,17 +172,13 @@ class Tracer {
   struct Pending {
     SimTime when;
     std::uint64_t seq;
-    std::uint32_t sim;  // index into sims_
+    const Simulator* sim;
     std::uint8_t byte;
     std::string iface;
   };
-  // Min-heap on (when, sim, seq): the order the shards' merge runs events in
-  // (on one simulator, plain key order).
+  // Min-heap on the event key (when, seq).
   static bool Later(const Pending& a, const Pending& b) {
-    if (a.when != b.when) {
-      return a.when > b.when;
-    }
-    return a.sim != b.sim ? a.sim > b.sim : a.seq > b.seq;
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
   }
 
   Entry& NextSlot();
@@ -201,16 +187,8 @@ class Tracer {
              ByteView data, std::string note);
   // Enters the pending bytes execution has reached.
   void Settle();
-  bool Reached(const Pending& p) const;
-  // Index of `sim` in sims_, or sims_.size() when it is not there.
-  std::uint32_t IndexOf(const Simulator* sim) const;
-
-  SimTime NowForEntry() const;
 
   Simulator* sim_;
-  const ShardSet* shards_ = nullptr;
-  // The simulators pending bytes come from, in shard order when sharded.
-  std::vector<const Simulator*> sims_;
   TracerConfig config_;
   TraceStats stats_;
   std::vector<Entry> ring_;     // grows to ring_capacity, then wraps
@@ -299,6 +277,27 @@ class IfScope {
 // outside any scope).
 inline std::string_view CurrentIf() { return detail::IfNameSlot(); }
 inline Dir CurrentDir() { return detail::IfDirSlot(); }
+
+// A ring dump: `entries` oldest first, then the recorded/evicted/truncated
+// tail from `stats`.
+std::string FormatRing(const std::vector<const Entry*>& entries,
+                       const TraceStats& stats);
+
+// One capture and one ring from the tracers of a sharded run, shards[k]
+// having recorded shard k. Flushes every tracer, then orders all their
+// records by (timestamp, shard index, order within the shard): the order in
+// which one thread running every shard's events by time, ties to the lowest
+// shard, would have recorded them, whatever thread ran each shard. `*ring`
+// receives FormatRing of the newest ring_capacity records, with `recorded`
+// and `truncated` summed over the shards and `evicted` the rest.
+// With more than one tracer and a non-empty `pcap_path`, each tracer's own
+// capture is read back, replayed into `pcap_path` with interface ids
+// renumbered in order of first appearance, and deleted; false, with
+// `*error` set, when that fails. One tracer is its own merge: its capture
+// stays where it is.
+bool MergeShardTraces(const std::vector<std::unique_ptr<Tracer>>& shards,
+                      const std::string& pcap_path, std::string* ring,
+                      std::string* error);
 
 // Writes the active tracer's ring to `out` (stderr-style failure dumps).
 // No-op when no tracer is installed.

@@ -355,54 +355,15 @@ Result DiffCaptures(const trace::PcapngFile& a, const trace::PcapngFile& b,
   return r;
 }
 
-namespace {
-
-bool ReadWholeFile(const std::string& path, Bytes* out, std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    if (error != nullptr) {
-      *error = "cannot open " + path;
-    }
-    return false;
-  }
-  out->clear();
-  std::uint8_t buf[64 * 1024];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    out->insert(out->end(), buf, buf + n);
-  }
-  bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok && error != nullptr) {
-    *error = "read error on " + path;
-  }
-  return ok;
-}
-
-}  // namespace
-
 std::optional<Result> DiffFiles(const std::string& path_a,
                                 const std::string& path_b, const Config& cfg,
                                 std::string* error) {
-  Bytes raw_a;
-  Bytes raw_b;
-  if (!ReadWholeFile(path_a, &raw_a, error) ||
-      !ReadWholeFile(path_b, &raw_b, error)) {
-    return std::nullopt;
-  }
-  std::string parse_error;
-  std::optional<trace::PcapngFile> a = trace::PcapngFile::Parse(raw_a, &parse_error);
+  std::optional<trace::PcapngFile> a = trace::PcapngFile::Load(path_a, error);
   if (!a) {
-    if (error != nullptr) {
-      *error = path_a + ": " + parse_error;
-    }
     return std::nullopt;
   }
-  std::optional<trace::PcapngFile> b = trace::PcapngFile::Parse(raw_b, &parse_error);
+  std::optional<trace::PcapngFile> b = trace::PcapngFile::Load(path_b, error);
   if (!b) {
-    if (error != nullptr) {
-      *error = path_b + ": " + parse_error;
-    }
     return std::nullopt;
   }
   return DiffCaptures(*a, *b, cfg);

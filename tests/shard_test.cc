@@ -1,11 +1,12 @@
-// Tests for the sharded executor: the three ShardSet execution modes
-// producing identical per-shard event schedules for the same seeded
-// workload, and the parallel executor's handoff order and accounting.
+// Tests for the sharded executor: one window loop producing identical
+// per-shard event schedules for the same seeded workload at every thread
+// count, its lookahead check, and its handoff order and accounting.
 #include <gtest/gtest.h>
 
 #include <cstdarg>
 #include <cstdio>
 #include <functional>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -18,49 +19,69 @@ namespace {
 // ---------------------------------------------------------------------------
 // ShardSet
 
-TEST(ShardSet, UnifiedModeAliasesOneSimulator) {
-  ShardSet set({.shards = 4, .mode = ShardSet::Mode::kUnified});
-  EXPECT_EQ(set.shard(0), set.shard(1));
-  EXPECT_EQ(set.shard(0), set.shard(3));
-}
-
-TEST(ShardSet, ShardedModeHasDistinctSimulators) {
-  ShardSet set({.shards = 3, .mode = ShardSet::Mode::kSharded});
+TEST(ShardSet, ShardsHaveDistinctSimulators) {
+  ShardSet set({.shards = 3});
   EXPECT_NE(set.shard(0), set.shard(1));
   EXPECT_NE(set.shard(1), set.shard(2));
 }
 
-TEST(ShardSet, ShardedMergeRunsInGlobalTimeOrder) {
-  ShardSet set({.shards = 3, .mode = ShardSet::Mode::kSharded});
-  std::vector<std::pair<SimTime, std::size_t>> order;
-  // Interleaved timestamps across shards; one tie (t=500) that must break by
-  // shard index.
-  set.shard(1)->ScheduleAt(100, [&] { order.push_back({100, 1}); });
-  set.shard(0)->ScheduleAt(200, [&] { order.push_back({200, 0}); });
-  set.shard(2)->ScheduleAt(150, [&] { order.push_back({150, 2}); });
-  set.shard(2)->ScheduleAt(500, [&] { order.push_back({500, 2}); });
-  set.shard(0)->ScheduleAt(500, [&] { order.push_back({500, 0}); });
-  const std::size_t executed = set.RunUntil(1000);
-  EXPECT_EQ(executed, 5u);
-  ASSERT_EQ(order.size(), 5u);
-  EXPECT_EQ(order[0], (std::pair<SimTime, std::size_t>{100, 1}));
-  EXPECT_EQ(order[1], (std::pair<SimTime, std::size_t>{150, 2}));
-  EXPECT_EQ(order[2], (std::pair<SimTime, std::size_t>{200, 0}));
-  EXPECT_EQ(order[3], (std::pair<SimTime, std::size_t>{500, 0}));
-  EXPECT_EQ(order[4], (std::pair<SimTime, std::size_t>{500, 2}));
-  EXPECT_TRUE(set.Idle());
+// With lookahead 1 every window is a single instant, so events run in time
+// order at any thread count, and one thread runs an instant's events in
+// shard order.
+TEST(ShardSet, LookaheadOneRunsInTimeThenShardOrder) {
+  for (int threads = 1; threads <= 3; ++threads) {
+    ShardSet set({.shards = 3, .threads = threads});
+    std::vector<std::pair<SimTime, std::size_t>> order;
+    std::mutex mu;  // on three threads shards 0 and 2 run t=500 at once
+    auto log = [&](SimTime t, std::size_t k) {
+      std::lock_guard<std::mutex> lk(mu);
+      order.push_back({t, k});
+    };
+    // Interleaved timestamps across shards; one tie (t=500) that one thread
+    // breaks by shard index.
+    set.shard(1)->ScheduleAt(100, [&] { log(100, 1); });
+    set.shard(0)->ScheduleAt(200, [&] { log(200, 0); });
+    set.shard(2)->ScheduleAt(150, [&] { log(150, 2); });
+    set.shard(2)->ScheduleAt(500, [&] { log(500, 2); });
+    set.shard(0)->ScheduleAt(500, [&] { log(500, 0); });
+    const std::size_t executed = set.RunUntil(1000);
+    EXPECT_EQ(executed, 5u);
+    ASSERT_EQ(order.size(), 5u);
+    EXPECT_EQ(order[0], (std::pair<SimTime, std::size_t>{100, 1}));
+    EXPECT_EQ(order[1], (std::pair<SimTime, std::size_t>{150, 2}));
+    EXPECT_EQ(order[2], (std::pair<SimTime, std::size_t>{200, 0}));
+    if (threads == 1) {
+      EXPECT_EQ(order[3], (std::pair<SimTime, std::size_t>{500, 0}));
+      EXPECT_EQ(order[4], (std::pair<SimTime, std::size_t>{500, 2}));
+    }
+    EXPECT_EQ(set.stats().windows, 4u) << threads << " threads";
+    EXPECT_TRUE(set.Idle());
+  }
 }
 
 TEST(ShardSet, CrossShardPostArrivesAtRequestedTime) {
-  ShardSet set({.shards = 2, .mode = ShardSet::Mode::kSharded, .lookahead = 50});
-  SimTime arrival = 0;
+  for (int threads = 1; threads <= 2; ++threads) {
+    ShardSet set({.shards = 2, .threads = threads, .lookahead = 50});
+    SimTime arrival = 0;
+    set.shard(0)->ScheduleAt(100, [&] {
+      set.Post(0, 1, set.shard(0)->Now() + 50,
+               [&] { arrival = set.shard(1)->Now(); });
+    });
+    set.RunUntil(1000);
+    EXPECT_EQ(arrival, 150u) << threads << " threads";
+    EXPECT_EQ(set.stats().posted, 1u);
+    EXPECT_EQ(set.stats().injected, 1u);
+  }
+}
+
+// One thread schedules a handoff straight into its destination, but still
+// holds it to the lookahead the windows rely on.
+TEST(ShardSetDeathTest, OneThreadPostInsideLookaheadDies) {
+  ShardSet set({.shards = 2, .threads = 1, .lookahead = 50});
   set.shard(0)->ScheduleAt(100, [&] {
-    set.Post(0, 1, set.shard(0)->Now() + 50,
-             [&] { arrival = set.shard(1)->Now(); });
+    set.Post(0, 1, set.shard(0)->Now() + 49, [] {});
   });
-  set.RunUntil(1000);
-  EXPECT_EQ(arrival, 150u);
-  EXPECT_EQ(set.stats().posted, 1u);
+  EXPECT_DEATH(set.RunUntil(1000), "violates lookahead 50");
 }
 
 // A seeded synthetic workload: each shard runs a chain of local events and
@@ -68,7 +89,7 @@ TEST(ShardSet, CrossShardPostArrivesAtRequestedTime) {
 // residue-separated (locals on shard s are ≡ s mod 10, handoffs into s are
 // ≡ src+5 mod 10) so no two events on a shard ever share a timestamp and the
 // per-shard logs are a complete order witness. The same workload must
-// produce byte-identical per-shard logs in every mode and thread count.
+// produce byte-identical per-shard logs at every thread count.
 class SyntheticWorkload {
  public:
   static constexpr std::size_t kShards = 4;
@@ -76,9 +97,8 @@ class SyntheticWorkload {
   static constexpr SimTime kLookahead = 1000;
   static constexpr SimTime kEnd = 10'000'000;
 
-  SyntheticWorkload(ShardSet::Mode mode, int threads)
+  explicit SyntheticWorkload(int threads)
       : set_({.shards = kShards,
-              .mode = mode,
               .threads = threads,
               .lookahead = kLookahead}),
         logs_(kShards) {
@@ -141,36 +161,31 @@ class SyntheticWorkload {
   std::size_t executed_ = 0;
 };
 
-TEST(ShardSet, AllModesProduceIdenticalPerShardSchedules) {
-  SyntheticWorkload unified(ShardSet::Mode::kUnified, 1);
-  unified.Run();
-  SyntheticWorkload sharded(ShardSet::Mode::kSharded, 1);
-  sharded.Run();
-  SyntheticWorkload par2(ShardSet::Mode::kParallel, 2);
-  par2.Run();
-  SyntheticWorkload par4(ShardSet::Mode::kParallel, 4);
-  par4.Run();
-
+TEST(ShardSet, EveryThreadCountProducesIdenticalPerShardSchedules) {
+  SyntheticWorkload one(1);
+  one.Run();
   // Every shard saw its 200 local steps plus the handoffs aimed at it.
   for (std::size_t s = 0; s < SyntheticWorkload::kShards; ++s) {
-    ASSERT_GT(unified.logs()[s].size(), 200u) << "shard " << s;
-    EXPECT_EQ(sharded.logs()[s], unified.logs()[s]) << "shard " << s;
-    EXPECT_EQ(par2.logs()[s], unified.logs()[s]) << "shard " << s;
-    EXPECT_EQ(par4.logs()[s], unified.logs()[s]) << "shard " << s;
+    ASSERT_GT(one.logs()[s].size(), 200u) << "shard " << s;
   }
-  EXPECT_EQ(sharded.executed(), unified.executed());
-  EXPECT_EQ(par2.executed(), unified.executed());
-  EXPECT_EQ(par4.executed(), unified.executed());
-  EXPECT_TRUE(par4.Idle());
-
-  // Handoff accounting: the parallel runs posted the same crossings the
-  // serial merge did, and every posted handoff was injected at a barrier.
-  const ShardStats serial = sharded.stats();
-  const ShardStats p4 = par4.stats();
-  EXPECT_GT(serial.posted, 0u);
-  EXPECT_EQ(p4.posted, serial.posted);
-  EXPECT_EQ(p4.injected, p4.posted);
-  EXPECT_GT(p4.windows, 0u);
+  EXPECT_TRUE(one.Idle());
+  // Every handoff crosses shards, so each posted one is injected: at post
+  // time on one thread, at a barrier on more.
+  const ShardStats base = one.stats();
+  EXPECT_GT(base.posted, 0u);
+  EXPECT_EQ(base.injected, base.posted);
+  EXPECT_GT(base.windows, 0u);
+  for (int threads = 2; threads <= 4; ++threads) {
+    SyntheticWorkload run(threads);
+    run.Run();
+    EXPECT_EQ(run.logs(), one.logs()) << threads << " threads";
+    EXPECT_EQ(run.executed(), one.executed()) << threads << " threads";
+    const ShardStats s = run.stats();
+    EXPECT_EQ(s.posted, base.posted) << threads << " threads";
+    EXPECT_EQ(s.injected, base.injected) << threads << " threads";
+    EXPECT_EQ(s.windows, base.windows) << threads << " threads";
+    EXPECT_TRUE(run.Idle());
+  }
 }
 
 // Each RunUntil starts its helper threads afresh and joins them before it
@@ -178,14 +193,14 @@ TEST(ShardSet, AllModesProduceIdenticalPerShardSchedules) {
 // per-shard schedule, the same handoffs and the same event count. A cut
 // inside a window splits it in two, so the window count grows with the
 // cuts, but it is the same on every thread count.
-TEST(ShardSet, ParallelSlicedRunMatchesOneCall) {
+TEST(ShardSet, SlicedRunMatchesOneCall) {
   constexpr SimTime kSlice = 777;  // cuts windows at no fixed phase
-  SyntheticWorkload whole(ShardSet::Mode::kParallel, 1);
+  SyntheticWorkload whole(1);
   whole.Run();
-  SyntheticWorkload sliced1(ShardSet::Mode::kParallel, 1);
+  SyntheticWorkload sliced1(1);
   sliced1.RunSliced(kSlice);
   for (int threads = 1; threads <= 4; ++threads) {
-    SyntheticWorkload sliced(ShardSet::Mode::kParallel, threads);
+    SyntheticWorkload sliced(threads);
     sliced.RunSliced(kSlice);
     EXPECT_EQ(sliced.logs(), whole.logs()) << threads << " threads";
     EXPECT_EQ(sliced.executed(), whole.executed()) << threads << " threads";
@@ -205,7 +220,6 @@ TEST(ShardSet, ParallelSetDestroyedWithPendingEventsExitsCleanly) {
   int late = 0;
   {
     ShardSet set({.shards = 4,
-                  .mode = ShardSet::Mode::kParallel,
                   .threads = 4,
                   .lookahead = 1000});
     for (std::size_t s = 0; s < 4; ++s) {
@@ -223,9 +237,9 @@ TEST(ShardSet, ParallelSetDestroyedWithPendingEventsExitsCleanly) {
 }
 
 TEST(ShardSet, ParallelRunsAreRepeatable) {
-  SyntheticWorkload a(ShardSet::Mode::kParallel, 3);
+  SyntheticWorkload a(3);
   a.Run();
-  SyntheticWorkload b(ShardSet::Mode::kParallel, 3);
+  SyntheticWorkload b(3);
   b.Run();
   EXPECT_EQ(a.logs(), b.logs());
   EXPECT_EQ(a.executed(), b.executed());
@@ -234,13 +248,12 @@ TEST(ShardSet, ParallelRunsAreRepeatable) {
 // Same-instant handoffs to one shard, posted inside one window, run in
 // (source index, post order) whatever the thread count: the barrier drains
 // the outboxes in source order and the destination heap breaks ties by
-// scheduling order. Shard 2 posts first (twice), shard 1 posts later. (The
-// serial modes schedule at post time, so there the two bursts would run in
-// post order instead; the synthetic workload above avoids such ties.)
+// scheduling order. Shard 2 posts first in time (twice), shard 1 later; one
+// thread runs the window's shards in index order and schedules each post at
+// once, so it posts them in that same order.
 TEST(ShardSet, SameInstantHandoffsRunInSourceThenPostOrder) {
   for (int threads = 1; threads <= 4; ++threads) {
     ShardSet set({.shards = 4,
-                  .mode = ShardSet::Mode::kParallel,
                   .threads = threads,
                   .lookahead = 1000});
     constexpr SimTime kArrive = 5000;
@@ -262,14 +275,13 @@ TEST(ShardSet, SameInstantHandoffsRunInSourceThenPostOrder) {
   }
 }
 
-// A self-post in kParallel schedules directly and counts against the
+// A self-post schedules directly and counts against the
 // source's own posted count. Two shards on two workers self-post at once,
 // so a shared counter here is a data race the TSan lane reports.
 TEST(ShardSet, ParallelSelfPostsCountPerSource) {
   constexpr SimTime kLookahead = 1'000'000;
   constexpr int kPosts = 2000;
   ShardSet set({.shards = 2,
-                .mode = ShardSet::Mode::kParallel,
                 .threads = 2,
                 .lookahead = kLookahead});
   std::vector<int> ran(2, 0);

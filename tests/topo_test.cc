@@ -1,12 +1,11 @@
 // Tests for the city-scale topology generator (ISSUE 8): spec parsing,
 // golden seeded counts, the addressing plan, backbone connectivity, and
-// serial-mode equivalence of a short traffic run.
+// thread-count equivalence of a short traffic run.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "src/scenario/topo_gen.h"
-#include "src/sim/shard_exec.h"
 
 namespace upr::topo {
 namespace {
@@ -124,7 +123,7 @@ TEST(CityTopology, CallsignsAreDistinct) {
 }
 
 // ---------------------------------------------------------------------------
-// Traffic + serial-mode equivalence
+// Traffic + thread-count equivalence
 
 TEST(CityTopology, SeededRunGeneratesTraffic) {
   CityConfig cfg = SmallConfig(2, 3);
@@ -142,26 +141,8 @@ TEST(CityTopology, SeededRunGeneratesTraffic) {
   EXPECT_EQ(sent, total.pings_sent);
 }
 
-// The same seed must yield the same summary under the unified (pre-shard
-// reference) and sharded executors — the in-process face of the tracediff
-// gate that tools/CMakeLists.txt runs on pcapng output.
-TEST(CityTopology, UnifiedAndShardedSummariesMatch) {
-  std::string summaries[2];
-  const ShardSet::Mode modes[2] = {ShardSet::Mode::kUnified,
-                                   ShardSet::Mode::kSharded};
-  for (int m = 0; m < 2; ++m) {
-    CityConfig cfg = SmallConfig(3, 4);
-    cfg.radio_bit_rate = 9600;
-    cfg.mode = modes[m];
-    CityTopology city(cfg);
-    city.Run(Seconds(8));
-    summaries[m] = city.FormatSummary();
-  }
-  EXPECT_EQ(summaries[0], summaries[1]);
-  EXPECT_FALSE(summaries[0].empty());
-}
-
-// ...and the parallel executor must agree with both, run to run.
+// The same seed must yield the same summary on one thread and on three,
+// run to run.
 TEST(CityTopology, ParallelSummaryMatchesSerialAndRepeats) {
   std::string serial;
   std::string parallel[2];
@@ -169,7 +150,6 @@ TEST(CityTopology, ParallelSummaryMatchesSerialAndRepeats) {
     CityConfig cfg = SmallConfig(3, 4);
     cfg.radio_bit_rate = 9600;
     if (run > 0) {
-      cfg.mode = ShardSet::Mode::kParallel;
       cfg.threads = 3;
     }
     CityTopology city(cfg);

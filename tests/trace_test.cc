@@ -5,6 +5,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -364,6 +369,90 @@ TEST(Pcapng, MixedAx25AndEthernetInterfaces) {
     EXPECT_EQ(tracer.stats().pcap_interfaces, 1u);
   }
   std::remove(path.c_str());
+}
+
+// Two shards' tracers merged into one capture and one ring. Shard 0 records
+// frames a0..a3 and shard 1 frames b0..b3, with two shared instants (100 and
+// 300) and one interface name on both shards (p1). Serial bytes recorded by
+// RecordDeliverAt enter at their key: d0 (400) before a3, d1 (650, the cut)
+// at the flush; d2 (700) lies past the cut and is never entered.
+TEST(TraceMerge, OrdersByTimeThenShardAndKeepsNewestRing) {
+  Simulator sims[2];
+  std::vector<std::unique_ptr<trace::Tracer>> tracers;
+  for (int k = 0; k < 2; ++k) {
+    trace::TracerConfig cfg;
+    cfg.ring_capacity = 4;
+    cfg.pcap_path = "trace_merge.part" + std::to_string(k);
+    tracers.push_back(std::make_unique<trace::Tracer>(&sims[k], cfg));
+  }
+  auto frame = [&](int k, SimTime t, const char* iface, std::uint8_t mark) {
+    sims[k].ScheduleAt(t, [&tracers, k, iface, mark] {
+      tracers[k]->RecordFrame(trace::Layer::kKiss, trace::Kind::kKissFrameOut,
+                              trace::Dir::kTx, iface, Bytes{mark});
+    });
+  };
+  auto deliver = [&](int k, SimTime at, SimTime when, const char* iface) {
+    sims[k].ScheduleAt(at, [&sims, &tracers, k, when, iface] {
+      tracers[k]->RecordDeliverAt(&sims[k], when, sims[k].ReserveSeq(), iface, 0x7E);
+    });
+  };
+  frame(0, 100, "p0", 0xA0);
+  deliver(0, 100, 400, "d0");
+  frame(0, 300, "p1", 0xA1);
+  frame(0, 300, "p1", 0xA2);
+  frame(0, 500, "p0", 0xA3);
+  frame(1, 100, "q0", 0xB0);
+  frame(1, 200, "p1", 0xB1);
+  frame(1, 300, "q0", 0xB2);
+  frame(1, 600, "q1", 0xB3);
+  deliver(1, 600, 650, "d1");
+  deliver(1, 600, 700, "d2");
+  for (Simulator& sim : sims) {
+    sim.RunUntil(650);
+  }
+
+  std::string ring;
+  std::string error;
+  ASSERT_TRUE(trace::MergeShardTraces(tracers, "trace_merge.pcapng", &ring, &error))
+      << error;
+
+  std::optional<trace::PcapngFile> merged =
+      trace::PcapngFile::Load("trace_merge.pcapng", &error);
+  ASSERT_TRUE(merged.has_value()) << error;
+  const std::vector<std::string> names = {"p0", "q0", "p1", "q1"};
+  ASSERT_EQ(merged->interfaces.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(merged->interfaces[i].name, names[i]) << i;
+  }
+  // (timestamp, marker, interface id): time first, then shard, then each
+  // shard's own order; ids in order of first appearance.
+  const std::vector<std::tuple<std::uint64_t, std::uint8_t, std::uint32_t>> want = {
+      {100, 0xA0, 0}, {100, 0xB0, 1}, {200, 0xB1, 2}, {300, 0xA1, 2},
+      {300, 0xA2, 2}, {300, 0xB2, 1}, {500, 0xA3, 0}, {600, 0xB3, 3}};
+  ASSERT_EQ(merged->packets.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const trace::PcapngPacket& p = merged->packets[i];
+    ASSERT_EQ(p.data.size(), 2u);  // KISS type byte + the marker
+    EXPECT_EQ(std::make_tuple(p.timestamp, p.data[1], p.interface_id), want[i]) << i;
+  }
+  // The shard captures are gone.
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_FALSE(std::ifstream("trace_merge.part" + std::to_string(k)).good()) << k;
+  }
+
+  // 10 entered, the newest 4 kept: d0 (shard 0 evicted three older ones,
+  // shard 1 one), a3, b3, d1.
+  std::vector<std::string> lines;
+  for (std::size_t at = 0, end; (end = ring.find('\n', at)) != std::string::npos; at = end + 1) {
+    lines.push_back(ring.substr(at, end - at));
+  }
+  ASSERT_EQ(lines.size(), 6u) << ring;
+  const char* kept[4] = {" d0 ", " p0 ", " q1 ", " d1 "};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NE(lines[1 + i].find(kept[i]), std::string::npos) << lines[1 + i];
+  }
+  EXPECT_EQ(lines[5], "10 recorded, 6 evicted, 0 truncated");
+  std::remove("trace_merge.pcapng");
 }
 
 }  // namespace

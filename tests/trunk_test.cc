@@ -28,7 +28,6 @@ class TrunkTest : public ::testing::Test {
     config_ = config;
     ShardSet::Config sc;
     sc.shards = 2;
-    sc.mode = ShardSet::Mode::kSharded;
     sc.lookahead = config.latency;
     shards_ = std::make_unique<ShardSet>(sc);
     a_ = std::make_unique<NetStack>(shards_->shard(0), "a");

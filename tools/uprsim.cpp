@@ -69,8 +69,7 @@ struct Options {
   std::string log = "warn";
   std::string topo;             // e.g. "city:8x20"
   topo::CitySpec city_spec;     // validated in ParseOptions
-  int parallel = 0;             // 0 = serial sharded merge
-  bool unsharded = false;       // pre-shard single-queue reference mode
+  int parallel = 1;             // city threads, the caller included
   bool realtime = false;        // pace the schedule against the wall clock
   double time_scale = 1.0;      // simulated seconds per wall second
   std::string bridge_pty;       // port name to surface as a PTY
@@ -124,10 +123,8 @@ void Usage(const char* argv0) {
       "                     stations (1..2000) each, one gateway per channel,\n"
       "                     trunk backbone, seeded ping traffic\n"
       "  --parallel N       run the city topology on N threads, the caller\n"
-      "                     included (conservative parallel DES; deterministic\n"
-      "                     for a fixed seed at any N)\n"
-      "  --unsharded        run the city topology on one shared event queue\n"
-      "                     (the pre-shard reference; tracediff gate)\n"
+      "                     included (default 1; conservative parallel DES;\n"
+      "                     deterministic for a fixed seed at any N)\n"
       "  --realtime         pace events against the wall clock so external\n"
       "                     processes can take part (ping/tcp/telnet/live)\n"
       "  --time-scale X     simulated seconds per wall second (default 1;\n"
@@ -237,8 +234,6 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
       }
     } else if (arg == "--parallel") {
       opt->parallel = static_cast<int>(count(1, 256, "an integer in [1, 256]"));
-    } else if (arg == "--unsharded") {
-      opt->unsharded = true;
     } else if (arg == "--realtime") {
       opt->realtime = true;
     } else if (arg == "--time-scale") {
@@ -288,10 +283,10 @@ bool ParseOptions(int argc, char** argv, Options* opt) {
 // --- Scenes ------------------------------------------------------------------
 //
 // A scene is one workload, built and ready to run: its clock (one Simulator,
-// or a ShardSet whose CurrentTime follows the executing shard), its radio
-// channels, a run step with the workload's own stop rule, and its --netstat
-// printer. RunScene wraps every scene in the same fault session, tracing,
-// monitor, pacing, channel summary and verdict.
+// or a ShardSet of one Simulator per shard), its radio channels, a run step
+// with the workload's own stop rule, and its --netstat printer. RunScene
+// wraps every scene in the same fault session, tracing, monitor, pacing,
+// channel summary and verdict.
 class Scene {
  public:
   Scene(std::string workload, const Options& options, Simulator* clock,
@@ -664,19 +659,15 @@ class LiveScene : public Scene {
 //
 // `--topo city:CxS` swaps the testbed for the upr::topo generator: C radio
 // channels of S stations behind per-channel gateways and a trunk backbone,
-// executed per the sharding mode — one shared queue (--unsharded), the
-// default single-thread sharded merge, or conservative parallel DES
-// (--parallel N). The city reports each channel's traffic in its own
+// executed as conservative parallel DES on --parallel N threads (one by
+// default). The city reports each channel's traffic in its own
 // summary table, so its scene lists no channels for the one-channel summary.
 // Its channels run at the topology's own rate (CityConfig::radio_bit_rate,
 // which its airtime arithmetic assumes) unless --rate is given.
 topo::CityConfig CityConfigFor(const Options& opt) {
   topo::CityConfig cfg;
   cfg.spec = opt.city_spec;
-  cfg.mode = opt.unsharded ? ShardSet::Mode::kUnified
-             : opt.parallel > 0 ? ShardSet::Mode::kParallel
-                                : ShardSet::Mode::kSharded;
-  cfg.threads = opt.parallel > 0 ? opt.parallel : 1;
+  cfg.threads = opt.parallel;
   cfg.seed = opt.seed;
   if (Given(opt, "--rate")) {
     cfg.radio_bit_rate = opt.rate;
@@ -707,21 +698,15 @@ class CityScene : public Scene {
     const ShardSet& set = city_.shards();
     const ShardStats stats = set.stats();
     std::printf(
-        "shards %zu mode %s threads %d lookahead %lld ns\n"
+        "shards %zu threads %d lookahead %lld ns\n"
         "events executed %zu scheduled %llu\n"
-        "handoffs posted %llu injected %llu ring-overflow %llu windows %llu "
-        "merge-steps %llu\n",
-        set.shard_count(),
-        set.mode() == ShardSet::Mode::kUnified    ? "unsharded"
-        : set.mode() == ShardSet::Mode::kParallel ? "parallel"
-                                                  : "sharded",
-        set.threads(), static_cast<long long>(city_.lookahead()), executed_,
+        "handoffs posted %llu injected %llu ring-overflow %llu windows %llu\n",
+        set.shard_count(), set.threads(), static_cast<long long>(city_.lookahead()), executed_,
         static_cast<unsigned long long>(set.TotalEventsScheduled()),
         static_cast<unsigned long long>(stats.posted),
         static_cast<unsigned long long>(stats.injected),
         static_cast<unsigned long long>(stats.ring_overflow),
-        static_cast<unsigned long long>(stats.windows),
-        static_cast<unsigned long long>(stats.merge_steps));
+        static_cast<unsigned long long>(stats.windows));
   }
 
  private:
@@ -756,29 +741,24 @@ constexpr SceneKind kVcKind = {
 constexpr SceneKind kLiveKind = {
     " --workload --loss --ber --silo --monitor --realtime --time-scale --bridge-pty --bridge-tcp ",
     Build<LiveScene>};
-constexpr SceneKind kCityKind = {" --topo --silo --parallel --unsharded ", Build<CityScene>};
+constexpr SceneKind kCityKind = {" --topo --silo --parallel ", Build<CityScene>};
 
-// Serial scenes get one tracer, installed for the run; a sharded scene's
-// tracer stamps entries from the executing shard's clock. A parallel city
-// gets one tracer per shard (FILE.shard<k>.pcapng), installed thread-local
-// by the shard-enter hook so concurrent shards never share one.
+// One tracer per clock. A single-clock scene's is installed for the run. A
+// city gives each shard its own, installed thread-local by the shard-enter
+// hook on whichever thread runs the shard, and capturing to a temporary
+// FILE.part<k> that MergeShardTraces folds into FILE after the run.
 bool StartTracers(const Options& opt, Scene& scene,
                   std::vector<std::unique_ptr<trace::Tracer>>* tracers,
                   std::unique_ptr<trace::ScopedInstall>* install) {
   ShardSet* set = scene.shards;
-  const bool parallel = set != nullptr && set->mode() == ShardSet::Mode::kParallel;
-  std::string base = opt.trace_file;
-  const std::string ext = ".pcapng";
-  if (base.size() > ext.size() && base.ends_with(ext)) {
-    base.resize(base.size() - ext.size());
-  }
-  const std::size_t count = parallel ? set->shard_count() : 1;
+  const std::size_t count = set != nullptr ? set->shard_count() : 1;
   for (std::size_t k = 0; k < count; ++k) {
     trace::TracerConfig tcfg;
     tcfg.ring_capacity = opt.trace_ring;
     tcfg.snaplen = opt.trace_snap;
-    tcfg.pcap_path = parallel && !opt.trace_file.empty() ? base + ".shard" + std::to_string(k) + ext
-                                                         : opt.trace_file;
+    tcfg.pcap_path = count > 1 && !opt.trace_file.empty()
+                         ? opt.trace_file + ".part" + std::to_string(k)
+                         : opt.trace_file;
     tracers->push_back(
         std::make_unique<trace::Tracer>(set != nullptr ? set->shard(k) : scene.sim, tcfg));
     if (!tracers->back()->pcap_ok()) {
@@ -786,10 +766,7 @@ bool StartTracers(const Options& opt, Scene& scene,
       return false;
     }
   }
-  if (!parallel) {
-    if (set != nullptr) {
-      tracers->front()->set_shards(set);
-    }
+  if (set == nullptr) {
     *install = std::make_unique<trace::ScopedInstall>(tracers->front().get());
     return true;
   }
@@ -853,7 +830,7 @@ int RunScene(const Options& opt, const SceneKind& kind) {
 
   scene->rt = rt.get();
   const int status = scene->Run();
-  // The caller of a parallel run ran shards too, and its tracer slot still
+  // The caller of a city run ran shards too, and its tracer slot still
   // holds the last one's tracer: clear it before the tracers go.
   if (!tracers.empty() && trace_install == nullptr) {
     trace::Install(nullptr);
@@ -863,10 +840,15 @@ int RunScene(const Options& opt, const SceneKind& kind) {
   }
   const bool workload_ok = status == 0;
 
-  for (const auto& tracer : tracers) {
-    tracer->Flush();
+  if (!tracers.empty()) {
+    std::string ring;
+    std::string error;
+    if (!trace::MergeShardTraces(tracers, opt.trace_file, &ring, &error)) {
+      std::fprintf(stderr, "cannot merge the shard traces: %s\n", error.c_str());
+      return 2;
+    }
     if (!workload_ok) {
-      std::fputs(tracer->FormatRing().c_str(), stderr);
+      std::fputs(ring.c_str(), stderr);
     }
   }
 
@@ -977,10 +959,6 @@ int main(int argc, char** argv) {
       (!opt.realtime || (opt.bridge_pty.empty() && opt.bridge_tcp_name.empty()))) {
     std::fprintf(stderr, "--workload live needs --realtime and --bridge-pty "
                          "and/or --bridge-tcp\n");
-    return 2;
-  }
-  if (opt.parallel > 0 && opt.unsharded) {
-    std::fprintf(stderr, "--parallel and --unsharded are exclusive\n");
     return 2;
   }
   return RunScene(opt, *kind);
