@@ -30,6 +30,8 @@ class RouteTable {
   void AddDirect(IpV4Prefix prefix, NetInterface* ifp, int metric = 0);
   void AddVia(IpV4Prefix prefix, IpV4Address gateway, NetInterface* ifp, int metric = 0);
   void AddDefault(IpV4Address gateway, NetInterface* ifp);
+  // Makes room for `n` more routes.
+  void Reserve(std::size_t n) { routes_.reserve(routes_.size() + n); }
   // Removes all routes exactly matching `prefix`. Returns count removed.
   std::size_t Remove(IpV4Prefix prefix);
 

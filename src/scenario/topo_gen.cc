@@ -232,8 +232,8 @@ void CityTopology::BuildBackbone() {
         cells_[b]->gateway->stack().AddInterface(std::move(b_if)));
     cells_[a]->trunk_ifs.push_back(edge.a_if);
     cells_[b]->trunk_ifs.push_back(edge.b_if);
-    adjacency_[a].push_back(b);
-    adjacency_[b].push_back(a);
+    adjacency_[a].emplace_back(b, t);
+    adjacency_[b].emplace_back(a, t);
     trunk_edges_.push_back(edge);
   }
   for (auto& neighbors : adjacency_) {
@@ -252,7 +252,7 @@ bool CityTopology::BackboneConnected() const {
   while (!queue.empty()) {
     const std::size_t g = queue.front();
     queue.pop_front();
-    for (std::size_t n : adjacency_[g]) {
+    for (const auto& [n, edge] : adjacency_[g]) {
       if (!seen[n]) {
         seen[n] = true;
         ++visited;
@@ -268,39 +268,40 @@ void CityTopology::BuildRoutes() {
   if (c <= 1) {
     return;
   }
+  for (const auto& cell : cells_) {
+    cell->gateway->stack().routes().Reserve(c - 1);
+  }
   // For each destination channel d, a BFS tree rooted at d (neighbors in
-  // ascending order) gives every other gateway its deterministic next hop.
+  // ascending order) gives every other gateway its deterministic next hop,
+  // over the trunk edge it was reached by.
+  constexpr std::size_t kUnreached = ~std::size_t{0};
+  std::vector<std::size_t> via(c);  // trunk edge towards d
+  std::vector<std::size_t> queue(c);
   for (std::size_t d = 0; d < c; ++d) {
-    std::vector<std::size_t> parent(c, c);  // c = unreached
-    std::deque<std::size_t> queue{d};
-    parent[d] = d;
-    while (!queue.empty()) {
-      const std::size_t g = queue.front();
-      queue.pop_front();
-      for (std::size_t n : adjacency_[g]) {
-        if (parent[n] == c) {
-          parent[n] = g;
-          queue.push_back(n);
+    std::fill(via.begin(), via.end(), kUnreached);
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    queue[tail++] = d;
+    while (head < tail) {
+      const std::size_t g = queue[head++];
+      for (const auto& [n, edge] : adjacency_[g]) {
+        if (n != d && via[n] == kUnreached) {
+          via[n] = edge;
+          queue[tail++] = n;
         }
       }
     }
     const IpV4Prefix dst_net =
         IpV4Prefix::FromCidr(IpV4Address(44, static_cast<std::uint8_t>(d), 0, 0), 16);
     for (std::size_t g = 0; g < c; ++g) {
-      if (g == d || parent[g] == c) {
+      if (via[g] == kUnreached) {
         continue;
       }
-      const std::size_t next = parent[g];
-      // The trunk edge connecting g and next.
-      for (const TrunkEdge& e : trunk_edges_) {
-        if (e.a == g && e.b == next) {
-          cells_[g]->gateway->stack().routes().AddVia(dst_net, e.b_ip, e.a_if);
-          break;
-        }
-        if (e.b == g && e.a == next) {
-          cells_[g]->gateway->stack().routes().AddVia(dst_net, e.a_ip, e.b_if);
-          break;
-        }
+      const TrunkEdge& e = trunk_edges_[via[g]];
+      if (e.a == g) {
+        cells_[g]->gateway->stack().routes().AddVia(dst_net, e.b_ip, e.a_if);
+      } else {
+        cells_[g]->gateway->stack().routes().AddVia(dst_net, e.a_ip, e.b_if);
       }
     }
   }

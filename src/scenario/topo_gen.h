@@ -32,6 +32,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/net/trunk_link.h"
@@ -165,7 +166,8 @@ class CityTopology {
   std::unique_ptr<ShardSet> shards_;
   std::vector<std::unique_ptr<Cell>> cells_;
   std::vector<TrunkEdge> trunk_edges_;
-  std::vector<std::vector<std::size_t>> adjacency_;  // gateway graph
+  // Gateway graph: (neighbor, trunk edge index) pairs, ascending.
+  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> adjacency_;
 };
 
 }  // namespace upr::topo

@@ -1,8 +1,9 @@
 #include "src/sim/shard_exec.h"
 
 #include <algorithm>
-#include <thread>
+#include <chrono>
 
+#include "src/util/packet_buf.h"
 #include "src/util/panic.h"
 
 namespace upr {
@@ -82,47 +83,148 @@ bool ShardSet::OpenWindow(SimTime deadline) {
   return true;
 }
 
-void ShardSet::RunShare(std::size_t t, SimTime deadline) {
-  const auto threads = static_cast<std::size_t>(config_.threads);
-  for (;;) {
-    std::size_t n = 0;
-    for (std::size_t k = t; k < sims_.size(); k += threads) {
-      if (enter_hook_) {
-        enter_hook_(k);
-      }
-      n += sims_[k]->RunUntil(window_end_);
+namespace {
+
+// How long a barrier waiter spins before it blocks. A window's work is tens
+// of microseconds on the city, so a waiter that spins this long usually
+// sees the barrier open without a sleep and a wake-up.
+constexpr auto kSpin = std::chrono::microseconds(50);
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Waits until `word` no longer holds `old`: spins for kSpin, then blocks.
+// Returns the new value, read with acquire.
+std::uint32_t AwaitChange(const std::atomic<std::uint32_t>& word,
+                          std::uint32_t old) {
+  const auto spin_end = std::chrono::steady_clock::now() + kSpin;
+  for (unsigned i = 1;; ++i) {
+    const std::uint32_t v = word.load(std::memory_order_acquire);
+    if (v != old) {
+      return v;
     }
-    std::unique_lock<std::mutex> lk(mu_);
-    run_executed_ += n;
-    if (++arrived_ < threads) {
-      const std::uint64_t generation = generation_;
-      cv_.wait(lk, [&] { return generation_ != generation; });
+    if (i % 64 == 0 && std::chrono::steady_clock::now() >= spin_end) {
+      break;
+    }
+    CpuRelax();
+  }
+  word.wait(old, std::memory_order_acquire);
+  return word.load(std::memory_order_acquire);
+}
+
+}  // namespace
+
+ShardSet::~ShardSet() {
+  if (helpers_.empty()) {
+    return;
+  }
+  stop_ = true;
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
+  for (std::thread& helper : helpers_) {
+    helper.join();
+  }
+}
+
+void ShardSet::RunShard(std::size_t k) {
+  if (enter_hook_) {
+    enter_hook_(k);
+  }
+  BufContextScope scope(&buf_->contexts()[k]);
+  sims_[k]->RunUntil(window_end_);
+}
+
+void ShardSet::RunWindowShards(std::size_t t) {
+  const std::uint64_t window = stats_windows_;
+  auto claim = [&](std::size_t k) {
+    std::atomic<std::uint64_t>& word = claims_[k].window;
+    if (word.load(std::memory_order_relaxed) != window &&
+        word.exchange(window, std::memory_order_relaxed) != window) {
+      RunShard(k);
+    }
+  };
+  const std::size_t n = sims_.size();
+  for (std::size_t k = t; k < n; k += static_cast<std::size_t>(config_.threads)) {
+    claim(k);
+  }
+  for (std::size_t k = n; k-- > 0;) {
+    claim(k);
+  }
+}
+
+std::uint32_t ShardSet::RunWindows(std::size_t t, std::uint32_t generation) {
+  const auto threads = static_cast<std::uint32_t>(config_.threads);
+  for (;;) {
+    RunWindowShards(t);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == threads) {
+      arrived_.store(0, std::memory_order_relaxed);
+      window_open_ = OpenWindow(deadline_);
+      generation_.store(++generation, std::memory_order_release);
+      generation_.notify_all();
     } else {
-      arrived_ = 0;
-      window_open_ = OpenWindow(deadline);
-      ++generation_;
-      cv_.notify_all();
+      generation = AwaitChange(generation_, generation);
     }
     if (!window_open_) {
-      return;
+      return generation;
     }
   }
 }
 
-std::size_t ShardSet::RunUntil(SimTime deadline) noexcept {
-  run_executed_ = 0;
-  if (OpenWindow(deadline)) {
-    std::vector<std::jthread> helpers;
-    for (int t = 1; t < config_.threads; ++t) {
-      helpers.emplace_back(
-          [this, t, deadline] { RunShare(static_cast<std::size_t>(t), deadline); });
+void ShardSet::HelperMain(std::size_t t, std::uint32_t generation) {
+  for (;;) {
+    generation = AwaitChange(generation_, generation);
+    if (stop_) {
+      return;
     }
-    RunShare(0, deadline);
-  }  // the helpers join here
+    generation = RunWindows(t, generation);
+    parked_.fetch_add(1, std::memory_order_release);
+    parked_.notify_one();
+  }
+}
+
+std::size_t ShardSet::RunUntil(SimTime deadline) noexcept {
+  const std::size_t executed = TotalEventsExecuted();
+  if (buf_ == nullptr) {
+    buf_ = std::make_unique<BufContextGroup>(sims_.size());
+  }
+  if (OpenWindow(deadline)) {
+    if (config_.threads == 1) {
+      do {
+        for (std::size_t k = 0; k < sims_.size(); ++k) {
+          RunShard(k);
+        }
+      } while (OpenWindow(deadline));
+    } else {
+      const std::uint32_t generation =
+          generation_.load(std::memory_order_relaxed) + 1;
+      if (helpers_.empty()) {
+        claims_ = std::make_unique<Claim[]>(sims_.size());
+        for (int t = 1; t < config_.threads; ++t) {
+          helpers_.emplace_back(&ShardSet::HelperMain, this,
+                                static_cast<std::size_t>(t), generation - 1);
+        }
+      }
+      deadline_ = deadline;
+      window_open_ = true;
+      generation_.store(generation, std::memory_order_release);
+      generation_.notify_all();
+      RunWindows(0, generation);
+      const auto helpers = static_cast<std::uint32_t>(config_.threads - 1);
+      for (std::uint32_t p; (p = parked_.load(std::memory_order_acquire)) != helpers;) {
+        AwaitChange(parked_, p);
+      }
+      parked_.store(0, std::memory_order_relaxed);
+    }
+  }
   for (const auto& sim : sims_) {
     sim->RunUntil(deadline);  // settle every shard clock at deadline
   }
-  return run_executed_;
+  return TotalEventsExecuted() - executed;
 }
 
 bool ShardSet::Idle() {

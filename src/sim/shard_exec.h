@@ -9,14 +9,32 @@
 // handoffs instead of shared-queue inserts.
 //
 // One executor runs every set, at any thread count: the caller of RunUntil
-// and threads − 1 helpers started for that call run their shards through
-// each window [next, next + lookahead) and meet at one barrier, where the
-// last to arrive injects the handoffs — which the lookahead guarantees land
-// strictly beyond the window — from per-source outboxes in (src shard, post
-// order) and opens the next window. With one thread the caller runs every
-// shard, in index order, and a handoff goes straight into its destination
-// heap instead, since no other thread can be running that shard. Execution
-// is deterministic for a fixed seed and any thread count.
+// and threads − 1 helpers run the shards through each window
+// [next, next + lookahead) and meet at one barrier, where the last to arrive
+// injects the handoffs — which the lookahead guarantees land strictly beyond
+// the window — from per-source outboxes in (src shard, post order) and opens
+// the next window. With one thread the caller runs every shard, in index
+// order, and a handoff goes straight into its destination heap instead,
+// since no other thread can be running that shard. Execution is
+// deterministic for a fixed seed and any thread count.
+//
+// Helpers live with the set: the first RunUntil on more than one thread
+// starts them (construction starts nothing), they park between calls, and
+// the destructor wakes and joins them. The barrier is one arrival count and
+// one generation word: a waiter spins on the word for a few tens of
+// microseconds, then blocks in std::atomic::wait; the last thread to arrive
+// opens the next window, bumps the generation and wakes the rest. Inside a
+// window a thread runs its home shards (k ≡ t mod threads) first, then
+// steals any shard not yet run, from the highest index down; a per-shard
+// claim word stamped with the window number runs each shard exactly once.
+// RunUntil returns only once every helper is parked again, so no helper
+// reads window state the next call rewrites.
+//
+// Which thread runs a shard changes from run to run, and nothing may show
+// it: a shard's events touch only its own state, its handoffs wait in its
+// own outbox, and its buffer counters and slab pool live in its own
+// BufContext, installed on the running thread around each shard's window.
+// There is nothing to configure.
 //
 // Lookahead comes from the topology: the minimum over all cross-shard links
 // of (propagation delay + one serial byte time); a handoff posted at time t
@@ -24,22 +42,24 @@
 // an invariant at every thread count. An outbox needs no lock: only the
 // thread running its source shard appends to it during a window, and only
 // the last thread to reach the barrier drains it, while every other thread
-// waits; the barrier mutex orders the two.
+// waits; the barrier's acquire/release pairs order the two.
 #ifndef SRC_SIM_SHARD_EXEC_H_
 #define SRC_SIM_SHARD_EXEC_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/sim/simulator.h"
 
 namespace upr {
+
+class BufContextGroup;
 
 struct ShardStats {
   std::uint64_t posted = 0;         // handoffs posted, self-posts included
@@ -63,7 +83,8 @@ class ShardSet {
   };
 
   explicit ShardSet(const Config& config);
-  ~ShardSet() = default;
+  // Wakes and joins the parked helpers, if any were started.
+  ~ShardSet();
   ShardSet(const ShardSet&) = delete;
   ShardSet& operator=(const ShardSet&) = delete;
 
@@ -87,16 +108,16 @@ class ShardSet {
 
   // Installed hook runs on the thread about to run a shard's window (a
   // helper or the caller); the city runner installs the shard's thread_local
-  // tracer with it, so after a run the caller's slot holds the tracer of the
-  // last shard it ran. Set before RunUntil.
+  // tracer with it, so after a run the caller's slot holds the tracer of
+  // some shard it ran. Set before RunUntil.
   void set_shard_enter_hook(std::function<void(std::size_t)> hook) {
     enter_hook_ = std::move(hook);
   }
 
   // Runs all shards up to and including `deadline`. Returns the number of
   // events executed across shards. noexcept: a throw would strand the
-  // helpers at the barrier, unjoinable, so it ends the program, as a throw
-  // on a helper does.
+  // helpers at the barrier, so it ends the program, as a throw on a helper
+  // does.
   std::size_t RunUntil(SimTime deadline) noexcept;
 
   // True when no shard has a pending event (call between RunUntil calls).
@@ -121,10 +142,20 @@ class ShardSet {
   // in index order, each outbox in post order (the event heap breaks
   // same-instant ties by scheduling order, so same-instant handoffs run in
   // (src, post order) on every thread count), then opens the next window
-  // (window_end_). False when no shard has an event by `deadline`.
+  // (window_end_, numbered by stats_windows_). False when no shard has an
+  // event by `deadline`.
   bool OpenWindow(SimTime deadline);
-  // Thread t's share of a run: shards k ≡ t (mod threads).
-  void RunShare(std::size_t t, SimTime deadline);
+  // Runs shard k's part of the open window on the calling thread, in the
+  // shard's buffer context.
+  void RunShard(std::size_t k);
+  // Thread t's part of one window: its home shards, then any left unclaimed.
+  void RunWindowShards(std::size_t t);
+  // Thread t runs windows from the one published at `generation` until a
+  // barrier opens none. Returns that barrier's generation.
+  std::uint32_t RunWindows(std::size_t t, std::uint32_t generation);
+  // A helper's life: parked until a call publishes a window (or the set is
+  // destroyed), then the call's windows, then parked again.
+  void HelperMain(std::size_t t, std::uint32_t generation);
 
   Config config_;
   std::vector<std::unique_ptr<Simulator>> sims_;  // one per shard
@@ -132,7 +163,7 @@ class ShardSet {
 
   // Handoffs, indexed by source shard. outbox_[s] and posted_[s] are
   // written only by the thread running s (or the last thread to reach the
-  // barrier), and the barrier mutex orders the two.
+  // barrier), and the barrier orders the two.
   std::vector<std::vector<Handoff>> outbox_;
   std::vector<std::uint64_t> posted_;
 
@@ -141,16 +172,27 @@ class ShardSet {
   std::uint64_t stats_injected_ = 0;
   std::uint64_t stats_windows_ = 0;
 
-  // The barrier. The last thread to bump arrived_ under mu_ does the
-  // barrier's work and bumps generation_, waking the others; mu_ orders
-  // window_end_ and every shard's state between the threads.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::uint64_t generation_ = 0;
-  std::size_t arrived_ = 0;
+  // Created by the first RunUntil, never by the constructor, which set-up
+  // timings include.
+  std::unique_ptr<BufContextGroup> buf_;  // one buffer context per shard
+  struct alignas(64) Claim {
+    std::atomic<std::uint64_t> window{0};  // last window that ran the shard
+  };
+  std::unique_ptr<Claim[]> claims_;
+
+  // The barrier. Window state is written by the caller before it publishes
+  // a call, or by the last thread to arrive before it bumps generation_;
+  // every other thread reads it after seeing the bump.
+  std::atomic<std::uint32_t> generation_{0};
+  std::atomic<std::uint32_t> arrived_{0};
+  std::atomic<std::uint32_t> parked_{0};  // helpers done with this call
+  SimTime deadline_ = 0;
   SimTime window_end_ = 0;
   bool window_open_ = false;
-  std::size_t run_executed_ = 0;  // this RunUntil's events, summed under mu_
+  bool stop_ = false;  // set by the destructor
+
+  // Last, after everything the helpers use.
+  std::vector<std::thread> helpers_;
 };
 
 }  // namespace upr

@@ -1,6 +1,7 @@
 #include "src/util/packet_buf.h"
 
 #include <algorithm>
+#include <mutex>
 
 namespace upr {
 
@@ -24,86 +25,158 @@ const char* BufLayerName(BufLayer layer) {
   return "?";
 }
 
-BufLayerStats& BufStatsFor(BufLayer layer) {
-  return detail::BufStatsArray()[static_cast<int>(layer)];
-}
-
-BufLayerStats BufStatsTotal() {
-  BufLayerStats total;
-  for (int i = 0; i < kBufLayerCount; ++i) {
-    const BufLayerStats& s = detail::BufStatsArray()[i];
-    total.bytes_copied += s.bytes_copied;
-    total.allocs += s.allocs;
-    total.prepend_reallocs += s.prepend_reallocs;
-  }
-  return total;
-}
-
-void ResetBufStats() {
-  for (int i = 0; i < kBufLayerCount; ++i) {
-    detail::BufStatsArray()[i] = BufLayerStats{};
-  }
-}
-
 namespace {
 
-// The slab free list. Blocks are vectors whose capacity is exactly
-// kBufSlabSize (they were first allocated by TakeStorage below), so a
-// recycled block's resize() never reallocates. thread_local so each parallel
-// city thread recycles its own slabs lock-free; a PacketBuf never crosses
-// shards (a cross-shard handoff carries an owned Bytes instead).
-thread_local std::vector<Bytes> g_buf_pool;
-thread_local BufPoolStats g_buf_pool_stats;
+// Every live group, for the process-wide readers.
+struct Registry {
+  std::mutex mu;
+  std::vector<BufContextGroup*> groups;  // guarded by mu
+};
+Registry& Groups() {
+  static Registry registry;
+  return registry;
+}
+
+BufContext& ThreadContext() {
+  static thread_local BufContext context;
+  return context;
+}
+
+// Calls fn on the calling thread's context and on every live group's.
+template <typename Fn>
+void ForEachContext(Fn fn) {
+  fn(ThreadContext());
+  Registry& registry = Groups();
+  std::lock_guard<std::mutex> lk(registry.mu);
+  for (BufContextGroup* group : registry.groups) {
+    for (BufContext& c : group->contexts()) {
+      fn(c);
+    }
+  }
+}
+
+void Add(BufLayerStats* total, const BufLayerStats& s) {
+  total->bytes_copied += s.bytes_copied;
+  total->allocs += s.allocs;
+  total->prepend_reallocs += s.prepend_reallocs;
+}
 
 // Storage for a PacketBuf needing `n` bytes: a parked slab when one fits,
 // a fresh (counted) allocation otherwise. The returned vector has size n,
-// zero-filled, matching what Bytes(n) would have produced.
+// zero-filled, matching what Bytes(n) would have produced. Parked blocks
+// have capacity of at least kBufSlabSize (they were first allocated here),
+// so a recycled block's resize() never reallocates.
 Bytes TakeStorage(std::size_t n) {
+  BufContext& ctx = detail::CurrentContext();
   if (n <= kBufSlabSize) {
-    if (!g_buf_pool.empty()) {
-      Bytes b = std::move(g_buf_pool.back());
-      g_buf_pool.pop_back();
-      ++g_buf_pool_stats.hits;
+    if (!ctx.pool.empty()) {
+      Bytes b = std::move(ctx.pool.back());
+      ctx.pool.pop_back();
+      ++ctx.pool_stats.hits;
       b.clear();
       b.resize(n);  // within capacity: memset only, no heap traffic
       return b;
     }
-    ++g_buf_pool_stats.misses;
+    ++ctx.pool_stats.misses;
     BufNoteAlloc();
     Bytes b;
     b.reserve(kBufSlabSize);  // full slab so the block is poolable later
     b.resize(n);
     return b;
   }
-  ++g_buf_pool_stats.oversize;
+  ++ctx.pool_stats.oversize;
   BufNoteAlloc();
   return Bytes(n);
 }
 
 // Retires a PacketBuf's storage: slab-capacity blocks park on the free list
-// (up to the depth cap); everything else goes back to the heap.
+// (up to the depth cap); everything else goes back to the heap. A block may
+// park in another context than the one it came from (a cross-shard handoff
+// carries an owned Bytes, which the far shard adopts); either way only the
+// thread running a context touches its list.
 void PutStorage(Bytes&& b) {
+  if (b.capacity() == 0) {
+    return;  // moved-from or never allocated
+  }
+  BufContext& ctx = detail::CurrentContext();
   if (b.capacity() >= kBufSlabSize && b.capacity() <= 2 * kBufSlabSize &&
-      g_buf_pool.size() < kBufPoolMaxDepth) {
-    ++g_buf_pool_stats.recycled;
-    g_buf_pool.push_back(std::move(b));
+      ctx.pool.size() < kBufPoolMaxDepth) {
+    ++ctx.pool_stats.recycled;
+    ctx.pool.push_back(std::move(b));
     return;
   }
-  if (b.capacity() > 0) {
-    ++g_buf_pool_stats.dropped;
-  }
+  ++ctx.pool_stats.dropped;
 }
 
 }  // namespace
 
-BufPoolStats BufPoolSnapshot() { return g_buf_pool_stats; }
+BufContext* detail::InstallThreadContext() {
+  ContextSlot() = &ThreadContext();
+  return ContextSlot();
+}
 
-std::size_t BufPoolDepth() { return g_buf_pool.size(); }
+BufContextGroup::BufContextGroup(std::size_t contexts) : contexts_(contexts) {
+  Registry& registry = Groups();
+  std::lock_guard<std::mutex> lk(registry.mu);
+  registry.groups.push_back(this);
+}
+
+BufContextGroup::~BufContextGroup() {
+  Registry& registry = Groups();
+  std::lock_guard<std::mutex> lk(registry.mu);
+  std::erase(registry.groups, this);
+}
+
+BufLayerStats BufStatsFor(BufLayer layer) {
+  BufLayerStats total;
+  ForEachContext([&](const BufContext& c) {
+    Add(&total, c.layers[static_cast<int>(layer)]);
+  });
+  return total;
+}
+
+BufLayerStats BufStatsTotal() {
+  BufLayerStats total;
+  ForEachContext([&](const BufContext& c) {
+    for (const BufLayerStats& s : c.layers) {
+      Add(&total, s);
+    }
+  });
+  return total;
+}
+
+void ResetBufStats() {
+  ForEachContext([](BufContext& c) {
+    for (BufLayerStats& s : c.layers) {
+      s = BufLayerStats{};
+    }
+  });
+}
+
+BufPoolStats BufPoolSnapshot() {
+  BufPoolStats total;
+  ForEachContext([&](const BufContext& c) {
+    total.hits += c.pool_stats.hits;
+    total.misses += c.pool_stats.misses;
+    total.oversize += c.pool_stats.oversize;
+    total.recycled += c.pool_stats.recycled;
+    total.dropped += c.pool_stats.dropped;
+  });
+  return total;
+}
+
+std::size_t BufPoolDepth() {
+  std::size_t depth = 0;
+  ForEachContext([&](const BufContext& c) { depth += c.pool.size(); });
+  return depth;
+}
 
 void DrainBufPool() {
-  g_buf_pool.clear();
-  g_buf_pool.shrink_to_fit();
-  g_buf_pool_stats = BufPoolStats{};
+  ForEachContext([](BufContext& c) {
+    c.pool.clear();
+    c.pool.shrink_to_fit();
+    c.pool_stats = BufPoolStats{};
+  });
 }
 
 PacketBuf::PacketBuf(std::size_t headroom, std::size_t tailroom)

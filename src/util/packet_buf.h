@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "src/util/byte_buffer.h"
 
@@ -47,12 +48,70 @@ struct BufLayerStats {
   std::uint64_t prepend_reallocs = 0;  // prepends that exhausted headroom
 };
 
-// Per-layer counters (per-thread: the classic scenarios are single-threaded
-// and see the old process-wide behaviour; each parallel-city thread
-// accumulates its own counters without synchronization).
-BufLayerStats& BufStatsFor(BufLayer layer);
+// --- Buffer contexts ---------------------------------------------------------
+//
+// The gateway's forward path makes exactly one owned allocation per relayed
+// frame (FromView in the driver RX handler). Under load that is one
+// malloc/free per packet — the 4.3BSD answer was the mbuf free list, and this
+// is ours: retired PacketBuf storage of the common size class parks on a
+// free list and the next construction reuses it instead of touching the heap.
+//
+// A request of at most kBufSlabSize bytes is served from the free list when
+// one is parked (a *hit* — not counted as an alloc in BufLayerStats, since
+// the heap is never involved). Larger requests, and requests that find the
+// list empty, allocate as before. Storage returns to the list when a
+// PacketBuf holding a slab-capacity block is destroyed; beyond
+// kBufPoolMaxDepth blocks the return is dropped to the heap so an idle
+// process does not hoard.
+inline constexpr std::size_t kBufSlabSize = 512;
+inline constexpr std::size_t kBufPoolMaxDepth = 256;
+
+struct BufPoolStats {
+  std::uint64_t hits = 0;      // constructions served from the free list
+  std::uint64_t misses = 0;    // slab-sized requests with an empty list
+  std::uint64_t oversize = 0;  // requests too large for a slab
+  std::uint64_t recycled = 0;  // blocks parked back on the free list
+  std::uint64_t dropped = 0;   // retiring blocks freed (pool full/odd size)
+};
+
+// The buffer state that buffer operations touch: per-layer counters, the
+// slab free list and its counters. Every thread has its own, which a
+// standalone Simulator uses. A ShardSet gives each shard one (a
+// BufContextGroup) and installs it on whichever thread runs the shard, so
+// what a shard counts and recycles does not depend on that thread. Only one
+// thread uses a context at a time, so nothing in it is synchronized; the
+// alignment keeps two shards' contexts off one cache line.
+struct alignas(64) BufContext {
+  BufLayerStats layers[kBufLayerCount];
+  BufPoolStats pool_stats;
+  std::vector<Bytes> pool;  // parked slab-capacity blocks
+};
+
+// One context per shard of a ShardSet, counted by the readers below for as
+// long as the group lives.
+class BufContextGroup {
+ public:
+  explicit BufContextGroup(std::size_t contexts);
+  ~BufContextGroup();
+  BufContextGroup(const BufContextGroup&) = delete;
+  BufContextGroup& operator=(const BufContextGroup&) = delete;
+
+  std::vector<BufContext>& contexts() { return contexts_; }
+
+ private:
+  std::vector<BufContext> contexts_;
+};
+
+// Readers and resets over every context: the calling thread's own and every
+// live group's. Call them while no ShardSet is running.
+BufLayerStats BufStatsFor(BufLayer layer);
 BufLayerStats BufStatsTotal();
 void ResetBufStats();
+BufPoolStats BufPoolSnapshot();
+std::size_t BufPoolDepth();  // blocks currently parked
+// Frees every parked block and zeroes the pool counters (benches use this to
+// isolate phases).
+void DrainBufPool();
 
 namespace detail {
 // Function-local thread_locals behind inline accessors, NOT
@@ -61,9 +120,18 @@ namespace detail {
 // UBSan false positive ("store to null pointer"). With the definition
 // visible here the access compiles to a plain TLS load and still inlines
 // into the per-packet hot path.
-inline BufLayerStats* BufStatsArray() {
-  static thread_local BufLayerStats stats[kBufLayerCount];
-  return stats;
+inline BufContext*& ContextSlot() {
+  static thread_local BufContext* context = nullptr;
+  return context;
+}
+// Points the slot at the calling thread's own context and returns it.
+BufContext* InstallThreadContext();
+inline BufContext& CurrentContext() {
+  BufContext* context = ContextSlot();
+  if (context == nullptr) [[unlikely]] {
+    context = InstallThreadContext();
+  }
+  return *context;
 }
 inline BufLayer& CurrentLayer() {
   static thread_local BufLayer layer = BufLayer::kOther;
@@ -71,9 +139,24 @@ inline BufLayer& CurrentLayer() {
 }
 
 inline BufLayerStats& CurrentBufStats() {
-  return BufStatsArray()[static_cast<int>(CurrentLayer())];
+  return CurrentContext().layers[static_cast<int>(CurrentLayer())];
 }
 }  // namespace detail
+
+// RAII scope making `context` the calling thread's buffer context; the one
+// it replaced comes back at scope exit.
+class BufContextScope {
+ public:
+  explicit BufContextScope(BufContext* context) : prev_(detail::ContextSlot()) {
+    detail::ContextSlot() = context;
+  }
+  ~BufContextScope() { detail::ContextSlot() = prev_; }
+  BufContextScope(const BufContextScope&) = delete;
+  BufContextScope& operator=(const BufContextScope&) = delete;
+
+ private:
+  BufContext* prev_;
+};
 
 // RAII scope attributing buffer operations to `layer`. Nest freely; the
 // innermost scope wins.
@@ -96,38 +179,6 @@ inline void BufNoteCopy(std::size_t n) {
   detail::CurrentBufStats().bytes_copied += n;
 }
 inline void BufNoteAlloc() { ++detail::CurrentBufStats().allocs; }
-
-// --- Slab recycling ---------------------------------------------------------
-//
-// The gateway's forward path makes exactly one owned allocation per relayed
-// frame (FromView in the driver RX handler). Under load that is one
-// malloc/free per packet — the 4.3BSD answer was the mbuf free list, and this
-// is ours: retired PacketBuf storage of the common size class parks on a
-// process-wide free list and the next construction reuses it instead of
-// touching the heap. Single-threaded by design, like the stats above.
-//
-// A request of at most kBufSlabSize bytes is served from the free list when
-// one is parked (a *hit* — not counted as an alloc in BufLayerStats, since
-// the heap is never involved). Larger requests, and requests that find the
-// list empty, allocate as before. Storage returns to the list when a
-// PacketBuf holding a slab-capacity block is destroyed; beyond
-// kBufPoolMaxDepth blocks the return is dropped to the heap so an idle
-// process does not hoard.
-inline constexpr std::size_t kBufSlabSize = 512;
-inline constexpr std::size_t kBufPoolMaxDepth = 256;
-
-struct BufPoolStats {
-  std::uint64_t hits = 0;      // constructions served from the free list
-  std::uint64_t misses = 0;    // slab-sized requests with an empty list
-  std::uint64_t oversize = 0;  // requests too large for a slab
-  std::uint64_t recycled = 0;  // blocks parked back on the free list
-  std::uint64_t dropped = 0;   // retiring blocks freed (pool full/odd size)
-};
-BufPoolStats BufPoolSnapshot();
-std::size_t BufPoolDepth();  // blocks currently parked
-// Frees every parked block and zeroes the pool counters (benches use this to
-// isolate phases).
-void DrainBufPool();
 
 class PacketBuf {
  public:

@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <functional>
 #include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/sim/shard_exec.h"
@@ -89,7 +91,10 @@ TEST(ShardSetDeathTest, OneThreadPostInsideLookaheadDies) {
 // residue-separated (locals on shard s are ≡ s mod 10, handoffs into s are
 // ≡ src+5 mod 10) so no two events on a shard ever share a timestamp and the
 // per-shard logs are a complete order witness. The same workload must
-// produce byte-identical per-shard logs at every thread count.
+// produce byte-identical per-shard logs at every thread count. A skewed
+// workload gives shard 0 ten times the steps, packed ten times tighter, so
+// it carries most events of every window; it posts every 24th step, which
+// keeps its bursts apart on the destination.
 class SyntheticWorkload {
  public:
   static constexpr std::size_t kShards = 4;
@@ -97,10 +102,11 @@ class SyntheticWorkload {
   static constexpr SimTime kLookahead = 1000;
   static constexpr SimTime kEnd = 10'000'000;
 
-  explicit SyntheticWorkload(int threads)
+  explicit SyntheticWorkload(int threads, bool skewed = false)
       : set_({.shards = kShards,
               .threads = threads,
               .lookahead = kLookahead}),
+        skewed_(skewed),
         logs_(kShards) {
     for (std::size_t s = 0; s < kShards; ++s) {
       ScheduleStep(s, /*step=*/0, /*when=*/100 + 10 * s + s);
@@ -108,6 +114,7 @@ class SyntheticWorkload {
   }
 
   void Run() { executed_ = set_.RunUntil(kEnd); }
+  void RunTo(SimTime deadline) { executed_ += set_.RunUntil(deadline); }
   // The same run cut into RunUntil calls `slice` apart, then to the end.
   void RunSliced(SimTime slice) {
     for (SimTime t = slice; !set_.Idle(); t += slice) {
@@ -116,6 +123,9 @@ class SyntheticWorkload {
     executed_ += set_.RunUntil(kEnd);
   }
 
+  void set_enter_hook(std::function<void(std::size_t)> hook) {
+    set_.set_shard_enter_hook(std::move(hook));
+  }
   const std::vector<std::vector<std::string>>& logs() const { return logs_; }
   ShardStats stats() const { return set_.stats(); }
   std::size_t executed() const { return executed_; }
@@ -127,7 +137,8 @@ class SyntheticWorkload {
       Simulator* sim = set_.shard(s);
       Append(s, "s%zu step%d t%llu", s, step,
              static_cast<unsigned long long>(sim->Now()));
-      if (step % 3 == 1) {
+      const bool heavy = skewed_ && s == 0;
+      if (step % (heavy ? 24 : 3) == 1) {
         const std::size_t dst = (s + 1) % kShards;
         // A burst of four. The +5 offset keeps handoff residues disjoint
         // from local residues; burst members stay 10 apart so no two events
@@ -140,9 +151,11 @@ class SyntheticWorkload {
           });
         }
       }
-      if (step + 1 < kSteps) {
+      if (step + 1 < (heavy ? 10 * kSteps : kSteps)) {
         // Increments are multiples of 10, so locals stay on residue s.
-        ScheduleStep(s, step + 1, sim->Now() + 100 + 40 * ((step * 7 + s) % 5));
+        ScheduleStep(s, step + 1,
+                     sim->Now() + (heavy ? 10 + 10 * (step % 3)
+                                         : 100 + 40 * ((step * 7 + s) % 5)));
       }
     });
   }
@@ -157,6 +170,7 @@ class SyntheticWorkload {
   }
 
   ShardSet set_;
+  bool skewed_;
   std::vector<std::vector<std::string>> logs_;
   std::size_t executed_ = 0;
 };
@@ -188,8 +202,8 @@ TEST(ShardSet, EveryThreadCountProducesIdenticalPerShardSchedules) {
   }
 }
 
-// Each RunUntil starts its helper threads afresh and joins them before it
-// returns, so a run cut into many calls must match one call: the same
+// Helpers park between RunUntil calls and every call returns with them
+// parked, so a run cut into many calls must match one call: the same
 // per-shard schedule, the same handoffs and the same event count. A cut
 // inside a window splits it in two, so the window count grows with the
 // cuts, but it is the same on every thread count.
@@ -214,7 +228,7 @@ TEST(ShardSet, SlicedRunMatchesOneCall) {
 }
 
 // A set destroyed between RunUntil calls, with events still pending on
-// every shard, owns no thread that could run them: destruction only frees.
+// every shard, wakes and joins its parked helpers without running them.
 TEST(ShardSet, ParallelSetDestroyedWithPendingEventsExitsCleanly) {
   int ran = 0;
   int late = 0;
@@ -234,6 +248,70 @@ TEST(ShardSet, ParallelSetDestroyedWithPendingEventsExitsCleanly) {
   }
   EXPECT_EQ(ran, 8);  // the four posts and the four handoffs they carried
   EXPECT_EQ(late, 0);
+}
+
+// The helpers live with the set: a run cut into ~50 calls sees no more
+// distinct threads than the set has, the caller included.
+TEST(ShardSet, SlicedRunKeepsItsThreads) {
+  for (int threads = 2; threads <= 4; ++threads) {
+    SyntheticWorkload run(threads);
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    run.set_enter_hook([&](std::size_t) {
+      std::lock_guard<std::mutex> lk(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    run.RunSliced(777);
+    EXPECT_TRUE(run.Idle());
+    EXPECT_LE(ids.size(), static_cast<std::size_t>(threads))
+        << threads << " threads";
+  }
+}
+
+// One shard carrying most events is where threads steal from one another;
+// what they run must not show in any log or counter.
+TEST(ShardSet, SkewedLoadProducesIdenticalPerShardSchedules) {
+  SyntheticWorkload one(1, /*skewed=*/true);
+  one.Run();
+  ASSERT_GT(one.logs()[0].size(), 3 * one.logs()[1].size());
+  const ShardStats base = one.stats();
+  for (int threads = 2; threads <= 4; ++threads) {
+    for (bool sliced : {false, true}) {
+      SyntheticWorkload run(threads, /*skewed=*/true);
+      if (sliced) {
+        run.RunSliced(777);
+      } else {
+        run.Run();
+      }
+      EXPECT_EQ(run.logs(), one.logs()) << threads << " threads";
+      EXPECT_EQ(run.executed(), one.executed()) << threads << " threads";
+      const ShardStats s = run.stats();
+      EXPECT_EQ(s.posted, base.posted) << threads << " threads";
+      EXPECT_EQ(s.injected, base.injected) << threads << " threads";
+      if (!sliced) {
+        EXPECT_EQ(s.windows, base.windows) << threads << " threads";
+      }
+    }
+  }
+}
+
+// Sliced runs leave the helpers parked; destroying the set mid-workload
+// wakes and joins them, and nothing pending runs.
+TEST(ShardSet, SetWithParkedHelpersDestroyedAfterSlicedRunsExitsCleanly) {
+  for (int threads = 2; threads <= 4; ++threads) {
+    std::vector<std::vector<std::string>> logs;
+    {
+      SyntheticWorkload run(threads);
+      for (SimTime t = 777; t <= 20 * 777; t += 777) {
+        run.RunTo(t);
+      }
+      EXPECT_FALSE(run.Idle());
+      logs = run.logs();
+    }
+    SyntheticWorkload reference(1);
+    reference.RunTo(20 * 777);
+    EXPECT_EQ(logs, reference.logs()) << threads << " threads";
+  }
 }
 
 TEST(ShardSet, ParallelRunsAreRepeatable) {

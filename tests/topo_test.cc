@@ -3,9 +3,14 @@
 // thread-count equivalence of a short traffic run.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <string>
+#include <vector>
 
+#include "src/net/routing.h"
 #include "src/scenario/topo_gen.h"
+#include "src/util/packet_buf.h"
 
 namespace upr::topo {
 namespace {
@@ -103,6 +108,56 @@ TEST(CityTopology, DegenerateBackbones) {
   EXPECT_TRUE(three.BackboneConnected());
 }
 
+// Every gateway's route to every other channel leaves by the trunk to its
+// parent in a BFS tree rooted at the destination, neighbours taken in
+// ascending order. The test rebuilds the trunk graph from the gateways'
+// own /30 trunk interfaces and runs its own BFS.
+TEST(CityTopology, RoutesFollowBfsNextHop) {
+  for (std::size_t channels : {5u, 8u}) {
+    CityTopology city(SmallConfig(channels, 1));
+    std::map<std::uint32_t, std::size_t> owner;  // trunk address -> gateway
+    for (std::size_t g = 0; g < channels; ++g) {
+      for (const auto& itf : city.gateway(g).stack().interfaces()) {
+        if ((itf->address().value() >> 24) == 10) {
+          owner[itf->address().value()] = g;
+        }
+      }
+    }
+    // A /30's two ends are .1 and .2: the peer of x is x ^ 3.
+    std::vector<std::set<std::size_t>> neighbors(channels);
+    for (const auto& [address, g] : owner) {
+      neighbors[g].insert(owner.at(address ^ 3));
+    }
+    for (std::size_t d = 0; d < channels; ++d) {
+      std::vector<std::size_t> parent(channels, channels);
+      std::vector<std::size_t> queue{d};
+      parent[d] = d;
+      for (std::size_t head = 0; head < queue.size(); ++head) {
+        for (std::size_t n : neighbors[queue[head]]) {
+          if (parent[n] == channels) {
+            parent[n] = queue[head];
+            queue.push_back(n);
+          }
+        }
+      }
+      for (std::size_t g = 0; g < channels; ++g) {
+        if (g == d) {
+          continue;
+        }
+        const Route* route = city.gateway(g).stack().routes().Lookup(
+            CityTopology::StationIp(d, 0));
+        ASSERT_NE(route, nullptr) << "gw" << g << " to ch" << d;
+        ASSERT_TRUE(route->gateway.has_value()) << "gw" << g << " to ch" << d;
+        EXPECT_EQ(owner.at(route->gateway->value()), parent[g])
+            << "gw" << g << " to ch" << d;
+        EXPECT_EQ(owner.at(route->interface->address().value()), g);
+        EXPECT_EQ(route->interface->address().value() ^ 3,
+                  route->gateway->value());
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Addressing plan
 
@@ -162,6 +217,56 @@ TEST(CityTopology, ParallelSummaryMatchesSerialAndRepeats) {
   }
   EXPECT_EQ(parallel[0], serial);
   EXPECT_EQ(parallel[1], serial);
+}
+
+// A shard's buffer counters and slab pool live in its own context, so a
+// city counts the same copies, allocations and pool traffic whichever
+// thread ran each shard.
+TEST(CityTopology, BufferCountersMatchAtEveryThreadCount) {
+  struct Counts {
+    BufLayerStats total;
+    BufLayerStats ip;
+    BufPoolStats pool;
+    std::size_t parked = 0;
+    std::size_t events = 0;
+  };
+  std::vector<Counts> runs;
+  for (int threads = 1; threads <= 4; ++threads) {
+    ResetBufStats();
+    DrainBufPool();
+    CityConfig cfg = SmallConfig(8, 4);
+    cfg.seed = 7;
+    cfg.threads = threads;
+    cfg.trunk_latency = Milliseconds(50);
+    cfg.ping_period = Seconds(10);
+    CityTopology city(cfg);
+    Counts c;
+    c.events = city.Run(Seconds(120));
+    c.total = BufStatsTotal();
+    c.ip = BufStatsFor(BufLayer::kIp);
+    c.pool = BufPoolSnapshot();
+    c.parked = BufPoolDepth();
+    runs.push_back(c);
+  }
+  ASSERT_GT(runs[0].total.bytes_copied, 0u);
+  ASSERT_GT(runs[0].pool.hits, 0u);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const Counts& a = runs[0];
+    const Counts& b = runs[i];
+    const int threads = static_cast<int>(i) + 1;
+    EXPECT_EQ(b.events, a.events) << threads << " threads";
+    EXPECT_EQ(b.total.bytes_copied, a.total.bytes_copied) << threads << " threads";
+    EXPECT_EQ(b.total.allocs, a.total.allocs) << threads << " threads";
+    EXPECT_EQ(b.total.prepend_reallocs, a.total.prepend_reallocs)
+        << threads << " threads";
+    EXPECT_EQ(b.ip.bytes_copied, a.ip.bytes_copied) << threads << " threads";
+    EXPECT_EQ(b.pool.hits, a.pool.hits) << threads << " threads";
+    EXPECT_EQ(b.pool.misses, a.pool.misses) << threads << " threads";
+    EXPECT_EQ(b.pool.oversize, a.pool.oversize) << threads << " threads";
+    EXPECT_EQ(b.pool.recycled, a.pool.recycled) << threads << " threads";
+    EXPECT_EQ(b.pool.dropped, a.pool.dropped) << threads << " threads";
+    EXPECT_EQ(b.parked, a.parked) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -707,6 +707,9 @@ class CityScene : public Scene {
         static_cast<unsigned long long>(stats.injected),
         static_cast<unsigned long long>(stats.ring_overflow),
         static_cast<unsigned long long>(stats.windows));
+    // Each shard counts in its own buffer context, so the table is the same
+    // at every thread count.
+    std::printf("\n%s", FormatBufStats().c_str());
   }
 
  private:
