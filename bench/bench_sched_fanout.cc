@@ -17,6 +17,12 @@
 // stream to a promiscuous host) at one instant, then drain. A busy line keeps
 // only its head byte in the heap, so the event pool may hold at most N + 4
 // events; queuing every byte as its own heap entry needs ~80N and fails.
+//
+// A third, one-line row is the chain: one per-byte line streams frames while
+// one far timer stays pending (a TCP transfer over one host's serial line,
+// perfbench's vc-bulk). Each byte's event schedules the next byte ahead of
+// everything pending, which the Simulator's next-event slot takes without a
+// sift.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -101,6 +107,32 @@ double TimeSerialFanout(std::size_t n, std::uint64_t rounds, std::uint64_t* byte
          static_cast<double>(rounds * n * kFrameBytes);
 }
 
+// One trial: `rounds` frames streamed over one per-byte line, each written
+// once the previous one has landed, beside a timer an hour away. Returns ns
+// per delivered byte; `bytes` gets the count (0 if it disagrees with the
+// seqs taken, the timer's excluded) and `pool` the event-pool size.
+double TimeSerialChain(std::uint64_t rounds, std::uint64_t* bytes, std::size_t* pool) {
+  Simulator sim;
+  SerialLine line(&sim, 9600);
+  std::uint64_t delivered = 0;
+  line.b().set_receive_chunk_handler(
+      [&delivered](const std::uint8_t*, std::size_t len) { delivered += len; });
+  Timer far(&sim, [] {});
+  far.Restart(3600 * kSecond);
+  const Bytes frame(kFrameBytes, 0x55);
+  const SimTime frame_time = line.transfer_time(kFrameBytes);
+  auto t0 = std::chrono::steady_clock::now();
+  for (std::uint64_t round = 0; round < rounds; ++round) {
+    line.a().Write(frame);
+    sim.RunUntil(sim.Now() + frame_time);
+  }
+  auto t1 = std::chrono::steady_clock::now();
+  *bytes = delivered + 1 == sim.events_scheduled() ? delivered : 0;
+  *pool = sim.pool_capacity();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
+         static_cast<double>(rounds * kFrameBytes);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -125,6 +157,7 @@ int main(int argc, char** argv) {
   for (std::size_t n : {10u, 100u, 1'000u}) {
     serial.push_back({n, serial_bytes_per_trial / (n * kFrameBytes), 0, 0, 0});
   }
+  SerialFanoutResult chain{1, serial_bytes_per_trial / kFrameBytes, 0, 0, 0};
   for (int t = 0; t < trials; ++t) {
     for (FanoutResult& r : results) {
       double ns = TimeFanout(r.n, r.rounds, &r.events);
@@ -134,6 +167,8 @@ int main(int argc, char** argv) {
       double ns = TimeSerialFanout(r.n, r.rounds, &r.bytes, &r.pool);
       r.ns_per_byte = t == 0 ? ns : std::min(r.ns_per_byte, ns);
     }
+    double ns = TimeSerialChain(chain.rounds, &chain.bytes, &chain.pool);
+    chain.ns_per_byte = t == 0 ? ns : std::min(chain.ns_per_byte, ns);
   }
 
   rep.Header("events per fan-out", {"n", "rounds", "events"}, 14,
@@ -172,6 +207,16 @@ int main(int argc, char** argv) {
     rep.Wall("serial_ns_per_byte_n" + std::to_string(r.n), r.ns_per_byte, "lower");
   }
 
+  std::printf("\nSerial chain: one line streams %zu-byte frames beside a far "
+              "timer\n", kFrameBytes);
+  rep.Header("serial chain", {"rounds", "bytes", "pool", "ns_per_byte"}, 14,
+             TableKind::kWall);
+  rep.Row({FmtInt(chain.rounds), FmtInt(chain.bytes), FmtInt(chain.pool),
+           Fmt(chain.ns_per_byte, 1)}, 14);
+  rep.Sim("chain_bytes", chain.bytes);
+  rep.Sim("chain_pool", static_cast<std::uint64_t>(chain.pool));
+  rep.Wall("chain_ns_per_byte", chain.ns_per_byte, "lower");
+
   bool ok = ratio <= kMaxFanoutRatio;
   for (const FanoutResult& r : results) {
     ok = ok && r.events == r.rounds * r.n;
@@ -181,6 +226,8 @@ int main(int argc, char** argv) {
     serial_ok = serial_ok && r.bytes == r.rounds * r.n * kFrameBytes &&
                 r.pool <= r.n + kMaxPoolOverLines;
   }
+  serial_ok = serial_ok && chain.bytes == chain.rounds * kFrameBytes &&
+              chain.pool <= chain.n + kMaxPoolOverLines;
   std::printf("\n%s: %.1f ns/event at N=10k vs %.1f at N=10 (%.2fx, bound %.0fx)\n",
               ok ? "PASS" : "FAIL", results.back().ns_per_event,
               results.front().ns_per_event, ratio, kMaxFanoutRatio);

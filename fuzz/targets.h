@@ -46,6 +46,8 @@ int RunArp(const std::uint8_t* data, std::size_t size);
 int RunPcapng(const std::uint8_t* data, std::size_t size);
 int RunFaults(const std::uint8_t* data, std::size_t size);
 int RunJson(const std::uint8_t* data, std::size_t size);
+// The first stateful target: a SerialLine against a naive reference model.
+int RunSerialLine(const std::uint8_t* data, std::size_t size);
 
 }  // namespace upr::fuzz
 

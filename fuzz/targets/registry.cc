@@ -19,6 +19,7 @@ constexpr Target kTargets[] = {
     {"pcapng", RunPcapng},
     {"faults", RunFaults},
     {"json", RunJson},
+    {"serial_line", RunSerialLine},
 };
 
 }  // namespace

@@ -189,7 +189,7 @@ void RadioChannel::Deliver(RadioPort* sender, Bytes frame, bool corrupted,
       ++dst->half_duplex_misses_;
       continue;
     }
-    sim_->Schedule(delay, [dst, delivered, corrupted, delay, arrive_start, arrive_end] {
+    auto receive = [dst, delivered, corrupted, delay, arrive_start, arrive_end] {
       if (delay > 0) {
         // Deciding receive state at tx-end time alone would let a port that
         // *starts* transmitting inside the propagation window still hear the
@@ -208,7 +208,9 @@ void RadioChannel::Deliver(RadioPort* sender, Bytes frame, bool corrupted,
       if (dst->on_receive_) {
         dst->on_receive_(*delivered, corrupted);
       }
-    });
+    };
+    static_assert(Simulator::StoresInline<decltype(receive)>());
+    sim_->Schedule(delay, std::move(receive));
   }
 }
 

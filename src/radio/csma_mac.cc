@@ -33,10 +33,12 @@ void CsmaMac::ScheduleRetry() {
     return;
   }
   retry_pending_ = true;
-  sim_->Schedule(params_.slot_time, [this] {
+  auto retry = [this] {
     retry_pending_ = false;
     TrySend();
-  });
+  };
+  static_assert(Simulator::StoresInline<decltype(retry)>());
+  sim_->Schedule(params_.slot_time, retry);
 }
 
 void CsmaMac::TrySend() {

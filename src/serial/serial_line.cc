@@ -86,8 +86,10 @@ void SerialEndpoint::ScheduleHead() {
   while (!in_flight_[last].ends_delivery) {
     ++last;
   }
+  auto deliver = [this] { DeliverHead(); };
+  static_assert(Simulator::StoresInline<decltype(deliver)>());
   head_id_ = line_->sim_->ScheduleReserved(in_flight_[last].when, in_flight_[last].seq,
-                                           [this] { DeliverHead(); });
+                                           deliver);
 }
 
 void SerialEndpoint::DeliverHead() {

@@ -4,54 +4,33 @@
 
 namespace upr {
 
-std::uint64_t Simulator::Schedule(SimTime delay, std::function<void()> fn) {
-  if (delay < 0) {
-    delay = 0;
+Simulator::~Simulator() {
+  // Pop rather than sweep: a capture's destructor may cancel another event.
+  while (Next() != nullptr) {
+    const std::uint32_t index = Pop().index;
+    RecordAt(index).invoke(*this, index, false);
   }
-  return ScheduleAt(now_ + delay, std::move(fn));
 }
 
-std::uint32_t Simulator::AllocEvent() {
-  std::uint32_t index;
-  if (!free_.empty()) {
-    index = free_.back();
-    free_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(pool_.size());
-    pool_.emplace_back();
+std::uint32_t Simulator::GrowPool() {
+  const auto index = static_cast<std::uint32_t>(state_.size());
+  state_.emplace_back();
+  if ((index & kChunkMask) == 0) {
+    chunks_.emplace_back(new Record[kChunkMask + 1]);
   }
-  // The generation stamp bumps per allocation, so a Cancel() holding an id
-  // from a previous tenant of this slot is a guaranteed no-op.
-  ++pool_[index].gen;
+  ++state_[index].gen;
   return index;
 }
 
-void Simulator::Recycle(std::uint32_t index) {
-  Event& ev = pool_[index];
-  ev.fn = nullptr;  // release the closure's captures now, not at reuse
-  ev.heap_pos = kNotQueued;
-  free_.push_back(index);
-}
-
-std::uint64_t Simulator::ScheduleAt(SimTime when, std::function<void()> fn) {
-  return ScheduleReserved(when, next_seq_++, std::move(fn));
-}
-
-std::uint64_t Simulator::ScheduleReserved(SimTime when, std::uint64_t seq,
-                                          std::function<void()> fn) {
-  UPR_INVARIANT(seq < next_seq_, "seq %llu was never reserved (next %llu)",
-                static_cast<unsigned long long>(seq),
-                static_cast<unsigned long long>(next_seq_));
-  if (when < now_) {
-    when = now_;
+Simulator::Entry Simulator::Pop() {
+  if (slot_.index != kNoEvent) {
+    const Entry e = slot_;
+    slot_.index = kNoEvent;
+    return e;
   }
-  std::uint32_t index = AllocEvent();
-  Event& ev = pool_[index];
-  ev.fn = std::move(fn);
-  std::uint64_t id = (static_cast<std::uint64_t>(ev.gen) << 32) | index;
-  heap_.emplace_back();
-  SiftUp(heap_.size() - 1, Entry{when, seq, index});
-  return id;
+  const Entry top = heap_.front();
+  RemoveAt(0);
+  return top;
 }
 
 void Simulator::SiftUp(std::size_t pos, const Entry& e) {
@@ -77,11 +56,21 @@ void Simulator::SiftDown(std::size_t pos, const Entry& e) {
     if (first >= n) {
       break;
     }
-    std::size_t last = first + 4 < n ? first + 4 : n;
-    std::size_t best = first;
-    for (std::size_t c = first + 1; c < last; ++c) {
-      if (Earlier(heap_[c], heap_[best])) {
-        best = c;
+    std::size_t best;
+    if (first + 4 <= n) {
+      // Under same-instant fan-out which child is earliest is a coin toss,
+      // so four children play a branch-free tournament: no mispredicted
+      // branch per level.
+      const Entry* c = &heap_[first];
+      const std::size_t a = first + static_cast<std::size_t>(Earlier(c[1], c[0]));
+      const std::size_t b = first + 2 + static_cast<std::size_t>(Earlier(c[3], c[2]));
+      best = Earlier(heap_[b], heap_[a]) ? b : a;
+    } else {
+      best = first;
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (Earlier(heap_[c], heap_[best])) {
+          best = c;
+        }
       }
     }
     Put(pos, heap_[best]);
@@ -101,25 +90,28 @@ void Simulator::RemoveAt(std::size_t pos) {
 void Simulator::Cancel(std::uint64_t id) {
   auto index = static_cast<std::uint32_t>(id & 0xFFFFFFFF);
   auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (index >= pool_.size()) {
+  if (index >= state_.size()) {
     return;
   }
-  const Event& ev = pool_[index];
-  if (ev.gen != gen || ev.heap_pos == kNotQueued) {
+  const State& st = state_[index];
+  if (st.gen != gen || st.heap_pos == kNotQueued) {
     return;  // already ran, already cancelled, or a stale id
   }
-  UPR_INVARIANT(ev.heap_pos < heap_.size() && heap_[ev.heap_pos].index == index,
-                "event %u has a stale heap position %u", index, ev.heap_pos);
-  RemoveAt(ev.heap_pos);
-  Recycle(index);
+  if (st.heap_pos == kInSlot) {
+    slot_.index = kNoEvent;
+  } else {
+    UPR_INVARIANT(st.heap_pos < heap_.size() && heap_[st.heap_pos].index == index,
+                  "event %u has a stale heap position %u", index, st.heap_pos);
+    RemoveAt(st.heap_pos);
+  }
+  RecordAt(index).invoke(*this, index, false);
 }
 
 bool Simulator::Step() {
-  if (heap_.empty()) {
+  if (Next() == nullptr) {
     return false;
   }
-  const Entry top = heap_.front();
-  RemoveAt(0);
+  const Entry top = Pop();
   UPR_INVARIANT(top.when >= now_,
                 "event seq %llu would move time backwards (%lld < %lld)",
                 static_cast<unsigned long long>(top.seq),
@@ -127,17 +119,17 @@ bool Simulator::Step() {
   now_ = top.when;
   now_seq_ = top.seq;
   ++executed_;
-  // Move the closure out and recycle before running: the callback may
-  // schedule new events, which must be free to reuse this slot.
-  std::function<void()> fn = std::move(pool_[top.index].fn);
-  Recycle(top.index);
-  fn();
+  // The invoker moves the callable out and recycles the record before
+  // running it: the callback may schedule new events, which must be free
+  // to reuse this slot.
+  RecordAt(top.index).invoke(*this, top.index, true);
   return true;
 }
 
 std::size_t Simulator::RunUntil(SimTime deadline) {
   std::size_t n = 0;
-  while (!heap_.empty() && heap_.front().when <= deadline) {
+  for (const Entry* next = Next(); next != nullptr && next->when <= deadline;
+       next = Next()) {
     Step();
     ++n;
   }
@@ -162,10 +154,12 @@ void Timer::Restart(SimTime delay) {
   Stop();
   running_ = true;
   deadline_ = sim_->Now() + (delay < 0 ? 0 : delay);
-  id_ = sim_->Schedule(delay, [this] {
+  auto fire = [this] {
     running_ = false;
     fn_();
-  });
+  };
+  static_assert(Simulator::StoresInline<decltype(fire)>());
+  id_ = sim_->Schedule(delay, fire);
 }
 
 void Timer::Stop() {

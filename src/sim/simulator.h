@@ -6,13 +6,23 @@
 // scheduling or reserved ahead of it, breaks ties), so runs are
 // bit-reproducible.
 //
-// Event storage is one indexed 4-ary min-heap of inline (when, seq, pool
-// index) keys over a pooled event store. Comparisons never touch an Event;
-// each pooled Event records its heap position, so Cancel() removes it in
-// O(log n) and recycles its slot at once — the protocol timers
-// (T1/T3/RTO/ARP/silo alarms) that are re-armed far more often than they
-// fire leave no tombstones behind. N events at one instant (a frame fanned
-// out to every promiscuous TNC) cost O(log n) each, not a rescan per pop.
+// Event storage is one indexed 4-ary min-heap of inline (when, seq, record
+// index) keys, fronted by a next-event slot, over a pool of event records.
+// Comparisons never touch a record; each record's heap position is kept
+// beside it, so Cancel() removes it in O(log n) and recycles its record at
+// once — the protocol timers (T1/T3/RTO/ARP/silo alarms) that are re-armed
+// far more often than they fire leave no tombstones behind. N events at one
+// instant (a frame fanned out to every promiscuous TNC) cost O(log n) each,
+// not a rescan per pop.
+//
+// The slot holds one entry outside the heap: a push earlier than every
+// pending key goes there, and a pop takes it first. A per-byte serial line
+// schedules each byte ahead of everything else pending, so its chain of
+// events runs without a sift.
+//
+// A record is a function pointer plus the callable itself, stored inline
+// when it fits (kInlineBytes; every hot capture does) and boxed otherwise,
+// so Schedule() takes any callable and a serial byte allocates nothing.
 //
 // Time is kept in integer nanoseconds (`SimTime`). Helpers convert from
 // humane units.
@@ -21,7 +31,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
+
+#include "src/util/panic.h"
 
 namespace upr {
 
@@ -67,16 +83,35 @@ constexpr SimTime TransmitTime(std::size_t bytes, std::uint64_t bits_per_second)
 
 class Simulator {
  public:
+  // Bytes of callable an event record holds without an allocation: enough
+  // for every hot capture (a serial line's head, a Timer, the CSMA retry, a
+  // channel delivery to one receiver).
+  static constexpr std::size_t kInlineBytes = 56;
+  // Whether a callable of type F is stored inside its event record. Any
+  // other one is boxed: the record holds a pointer to a heap copy.
+  template <class F>
+  static constexpr bool StoresInline() {
+    return sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::uint64_t) &&
+           std::is_nothrow_move_constructible_v<F>;
+  }
+
   Simulator() = default;
+  ~Simulator();
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime Now() const { return now_; }
 
-  // Schedules `fn` to run at Now() + delay (delay < 0 is clamped to 0).
-  // Returns an id usable with Cancel().
-  std::uint64_t Schedule(SimTime delay, std::function<void()> fn);
-  std::uint64_t ScheduleAt(SimTime when, std::function<void()> fn);
+  // Schedules `fn` (any callable taking no arguments) to run at Now() +
+  // delay (delay < 0 is clamped to 0). Returns an id usable with Cancel().
+  template <class F>
+  std::uint64_t Schedule(SimTime delay, F&& fn) {
+    return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn));
+  }
+  template <class F>
+  std::uint64_t ScheduleAt(SimTime when, F&& fn) {
+    return ScheduleReserved(when, next_seq_++, std::forward<F>(fn));
+  }
 
   // Takes the next sequence number now, for an event scheduled later with
   // ScheduleReserved(). The event then runs exactly where ScheduleAt() would
@@ -85,7 +120,21 @@ class Simulator {
   // A serial line reserves one seq per delivery and keeps only its head
   // delivery in the heap (see SerialEndpoint).
   std::uint64_t ReserveSeq() { return next_seq_++; }
-  std::uint64_t ScheduleReserved(SimTime when, std::uint64_t seq, std::function<void()> fn);
+  template <class F>
+  std::uint64_t ScheduleReserved(SimTime when, std::uint64_t seq, F&& fn) {
+    using Fn = std::decay_t<F>;
+    const std::uint32_t index = AllocEvent();
+    Record& rec = RecordAt(index);
+    if constexpr (StoresInline<Fn>()) {
+      ::new (static_cast<void*>(rec.payload)) Fn(std::forward<F>(fn));
+      rec.invoke = &Invoke<Fn>;
+    } else {
+      ::new (static_cast<void*>(rec.payload))
+          Boxed<Fn>{std::make_unique<Fn>(std::forward<F>(fn))};
+      rec.invoke = &Invoke<Boxed<Fn>>;
+    }
+    return Push(when, seq, index);
+  }
 
   // True once execution has reached the key (when, seq): an event under it
   // has run or is the one running now. After RunUntil(t) every key at or
@@ -110,7 +159,8 @@ class Simulator {
   std::size_t RunUntil(SimTime deadline, const std::function<bool()>& done) {
     std::size_t n = 0;
     while (!done()) {
-      if (heap_.empty() || heap_.front().when > deadline) {
+      const Entry* next = Next();
+      if (next == nullptr || next->when > deadline) {
         RunUntil(deadline);  // nothing left to run: settles the clock
         break;
       }
@@ -127,44 +177,77 @@ class Simulator {
   // Runs a single event if one is pending; returns false when idle.
   bool Step();
 
-  bool Idle() const { return heap_.empty(); }
+  bool Idle() const { return Next() == nullptr; }
   // Timestamp of the earliest pending event without running it. Returns
   // false when the queue is empty. The sharded city executor merges shard
   // queues globally-by-time with this.
   bool NextEventTime(SimTime* when) const {
-    if (heap_.empty()) {
+    const Entry* next = Next();
+    if (next == nullptr) {
       return false;
     }
-    *when = heap_.front().when;
+    *when = next->when;
     return true;
   }
-  // Heap entries. A busy serial line holds one entry for its head delivery;
-  // the bytes queued behind it are counted by SerialEndpoint::backlog().
-  std::size_t pending_events() const { return heap_.size(); }
+  // Pending events: the heap's entries plus the next-event slot's. A busy
+  // serial line holds one entry for its head delivery; the bytes queued
+  // behind it are counted by SerialEndpoint::backlog().
+  std::size_t pending_events() const {
+    return heap_.size() + (slot_.index != kNoEvent ? 1 : 0);
+  }
   std::size_t executed_events() const { return executed_; }
   // Total events ever scheduled (the interrupt-rate analogue: every serial
   // byte, timer and frame delivery takes a seq here, reserved or not).
   std::uint64_t events_scheduled() const { return next_seq_ - 1; }
-  // Event objects allocated over the simulator's lifetime. Events are pooled
-  // on a free list, so this tracks peak concurrency, not event count.
-  std::size_t pool_capacity() const { return pool_.size(); }
+  // Event records allocated over the simulator's lifetime. Records are
+  // pooled on a free list, so this tracks peak concurrency, not event count.
+  std::size_t pool_capacity() const { return state_.size(); }
   std::size_t pool_free() const { return free_.size(); }
 
  private:
+  static constexpr std::uint32_t kNoEvent = UINT32_MAX;
+  // heap_pos of a record that is free or running, and of the slot's entry.
   static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+  static constexpr std::uint32_t kInSlot = UINT32_MAX - 1;
 
-  // Pooled event. `heap_pos` is its index in `heap_` while pending and
-  // kNotQueued while free or running.
-  struct Event {
-    std::function<void()> fn;
-    std::uint32_t gen = 0;  // bumped on alloc; ids embed it
-    std::uint32_t heap_pos = kNotQueued;
+  // Runs (run = true) or only destroys the callable in record `index`. Either
+  // way the record recycles first, so a running callback may schedule into
+  // its own slot.
+  using Invoker = void (*)(Simulator& sim, std::uint32_t index, bool run);
+  // One pooled event record: the callable's invoker and the callable
+  // itself, inline or boxed. Records never move once allocated (the pool
+  // grows by whole chunks), so any nothrow-movable callable that fits may
+  // sit inline.
+  struct Record {
+    Invoker invoke;
+    alignas(std::uint64_t) unsigned char payload[kInlineBytes];
   };
-  // Inline heap key: ordering reads only this, never the Event.
+  template <class F>
+  struct Boxed {
+    std::unique_ptr<F> fn;
+    void operator()() { (*fn)(); }
+  };
+  template <class F>
+  static void Invoke(Simulator& sim, std::uint32_t index, bool run) {
+    F* stored = std::launder(reinterpret_cast<F*>(sim.RecordAt(index).payload));
+    F fn(std::move(*stored));
+    std::destroy_at(stored);
+    sim.Recycle(index);
+    if (run) {
+      fn();
+    }
+  }
+  // Per-record bookkeeping, apart from the records so heap moves touch only
+  // this dense array.
+  struct State {
+    std::uint32_t gen = 0;  // bumped on alloc; ids embed it
+    std::uint32_t heap_pos = kNotQueued;  // index in heap_, or kInSlot
+  };
+  // Inline heap key: ordering reads only this, never the Record.
   struct Entry {
     SimTime when;
     std::uint64_t seq;
-    std::uint32_t index;  // into pool_
+    std::uint32_t index;  // into the pool, or kNoEvent for an empty slot
   };
   // Strict (when, seq) order — the execution order contract. seq is unique,
   // so the pop order is independent of the heap's shape. `when` is never
@@ -176,16 +259,72 @@ class Simulator {
            (Key(static_cast<std::uint64_t>(b.when)) << 64 | b.seq);
   }
 
-  // Free-list allocation: events live in `pool_` for the simulator's
+  static constexpr std::uint32_t kChunkShift = 4;  // 16 records, 1 KiB
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
+  Record& RecordAt(std::uint32_t index) {
+    return chunks_[index >> kChunkShift][index & kChunkMask];
+  }
+
+  // Free-list allocation: records live in the pool for the simulator's
   // lifetime and recycle through `free_`, so a serial byte costs no
   // allocation of its own (the hot path bench_e5 measures).
-  std::uint32_t AllocEvent();
-  void Recycle(std::uint32_t index);
+  std::uint32_t AllocEvent() {
+    if (free_.empty()) {
+      return GrowPool();
+    }
+    const std::uint32_t index = free_.back();
+    free_.pop_back();
+    // The generation stamp bumps per allocation, so a Cancel() holding an id
+    // from a previous tenant of this record is a guaranteed no-op.
+    ++state_[index].gen;
+    return index;
+  }
+  // Adds a record (and, every 16, a chunk) to the pool and allocates it.
+  std::uint32_t GrowPool();
+  void Recycle(std::uint32_t index) {
+    state_[index].heap_pos = kNotQueued;
+    free_.push_back(index);
+  }
+  // Files record `index` under (when, seq): in the slot when it is earlier
+  // than every pending key, else in the heap. Returns its id.
+  std::uint64_t Push(SimTime when, std::uint64_t seq, std::uint32_t index) {
+    UPR_INVARIANT(seq < next_seq_, "seq %llu was never reserved (next %llu)",
+                  static_cast<unsigned long long>(seq),
+                  static_cast<unsigned long long>(next_seq_));
+    const Entry e{when < now_ ? now_ : when, seq, index};
+    const Entry* next = Next();
+    if (next == nullptr || Earlier(e, *next)) {
+      // Earlier than everything pending: the slot takes it, and an entry
+      // already there moves into the heap (still earlier than the rest).
+      if (slot_.index != kNoEvent) {
+        PushHeap(slot_);
+      }
+      slot_ = e;
+      state_[index].heap_pos = kInSlot;
+    } else {
+      PushHeap(e);
+    }
+    return (static_cast<std::uint64_t>(state_[index].gen) << 32) | index;
+  }
+  void PushHeap(const Entry& e) {
+    heap_.emplace_back();
+    SiftUp(heap_.size() - 1, e);
+  }
+  // The earliest pending entry (the slot's, else the heap's root), or
+  // nullptr when idle.
+  const Entry* Next() const {
+    if (slot_.index != kNoEvent) {
+      return &slot_;
+    }
+    return heap_.empty() ? nullptr : &heap_.front();
+  }
+  // Removes and returns the earliest pending entry; one must exist.
+  Entry Pop();
 
-  // Writes `e` at heap position `pos` and records the position in its Event.
+  // Writes `e` at heap position `pos` and records the position.
   void Put(std::size_t pos, const Entry& e) {
     heap_[pos] = e;
-    pool_[e.index].heap_pos = static_cast<std::uint32_t>(pos);
+    state_[e.index].heap_pos = static_cast<std::uint32_t>(pos);
   }
   // Fill the hole at `pos` with `e`: SiftUp moves it toward the root,
   // SiftDown moves the hole to a leaf first, so `e` may end up anywhere on
@@ -200,8 +339,12 @@ class Simulator {
   std::uint64_t next_seq_ = 1;
   std::size_t executed_ = 0;
 
+  // The next-event slot: an entry earlier than every heap entry, held out
+  // of the heap (index kNoEvent when empty).
+  Entry slot_{0, 0, kNoEvent};
   std::vector<Entry> heap_;  // 4-ary: children of i are 4i+1 .. 4i+4
-  std::vector<Event> pool_;
+  std::vector<std::unique_ptr<Record[]>> chunks_;
+  std::vector<State> state_;
   std::vector<std::uint32_t> free_;
 };
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -311,14 +312,24 @@ class ReferenceModel {
     }
   }
 
-  // Expectation checked after every operation: same size, same next time.
+  // Expectation checked after every operation: same size, same next time,
+  // and every record that is not pending back on the free list.
   void ExpectAgrees() const {
     ASSERT_EQ(sim_->pending_events(), pending_.size());
+    ASSERT_EQ(sim_->pool_free() + pending_.size(), sim_->pool_capacity());
+    ASSERT_EQ(sim_->Idle(), pending_.empty());
     SimTime next = 0;
     ASSERT_EQ(sim_->NextEventTime(&next), !pending_.empty());
     if (!pending_.empty()) {
       EXPECT_EQ(next, std::get<0>(*pending_.begin()));
     }
+  }
+
+  // The id of a live tag, for cancels the model does not see (stale ones).
+  std::uint64_t id_of(int tag) const { return live_.at(tag).id; }
+  // The tag the model runs next, or -1 when nothing is pending.
+  int next_tag() const {
+    return pending_.empty() ? -1 : std::get<2>(*pending_.begin());
   }
 
   std::vector<int> live_tags() const {
@@ -425,6 +436,242 @@ TEST(EventHeapTest, SeededChurnMatchesReferenceModel) {
   EXPECT_EQ(model.mismatches(), 0u);
   EXPECT_GT(model.fired(), 5'000u);
   EXPECT_EQ(sim.pool_free(), sim.pool_capacity());
+}
+
+// The next-event slot holds one entry outside the heap: every push earlier
+// than everything pending. These cases drive it through the reference model,
+// which knows nothing of the slot.
+TEST(EventHeapTest, ChainAheadOfEverythingPendingUsesTheSlot) {
+  // A per-byte serial line: each byte's event schedules the next one ahead
+  // of far timers that stay pending throughout.
+  Simulator sim;
+  ReferenceModel model(&sim);
+  int next_tag = 100;
+  model.Schedule(Seconds(10), 0);
+  model.Schedule(Seconds(20), 1);
+  model.Schedule(Seconds(20), 2);
+  model.on_fire = [&](int tag) {
+    if (tag >= 100 && tag < 1100) {
+      model.Schedule(Microseconds(1041), next_tag++);
+    }
+  };
+  model.Schedule(Microseconds(1041), next_tag++);
+  model.ExpectAgrees();
+  while (model.next_tag() >= 100) {
+    ASSERT_TRUE(sim.Step());
+    model.ExpectAgrees();
+  }
+  EXPECT_EQ(model.fired(), 1001u);
+  // The chain never held more than itself and the three timers.
+  EXPECT_EQ(sim.pool_capacity(), 4u);
+  sim.RunAll();
+  model.ExpectAgrees();
+  EXPECT_EQ(model.mismatches(), 0u);
+}
+
+TEST(EventHeapTest, PushEarlierThanTheSlotDemotesItToTheHeap) {
+  Simulator sim;
+  ReferenceModel model(&sim);
+  model.Schedule(Milliseconds(10), 1);  // empty store: takes the slot
+  model.ExpectAgrees();
+  model.Schedule(Milliseconds(5), 2);  // earlier: the 10 ms entry moves
+  model.ExpectAgrees();
+  model.Schedule(Milliseconds(7), 3);  // between: the heap
+  model.ExpectAgrees();
+  model.Schedule(Milliseconds(5), 4);  // same instant, later seq: the heap
+  model.ExpectAgrees();
+  model.Reserve();
+  model.Schedule(Milliseconds(1), 5);  // takes the slot again
+  model.ExpectAgrees();
+  // Same instant as the slot's entry, but an older seq: runs first.
+  model.ScheduleReserved(Milliseconds(1), 6, 0);
+  model.ExpectAgrees();
+  EXPECT_EQ(model.next_tag(), 6);
+  while (sim.Step()) {
+    model.ExpectAgrees();
+  }
+  EXPECT_EQ(model.fired(), 6u);
+  EXPECT_EQ(model.mismatches(), 0u);
+}
+
+TEST(EventHeapTest, CancellingTheSlotEntryAndAStaleIdToIt) {
+  Simulator sim;
+  ReferenceModel model(&sim);
+  model.Schedule(Milliseconds(4), 1);
+  model.Schedule(Milliseconds(2), 2);  // the slot's entry
+  model.Schedule(Milliseconds(3), 3);
+  const std::uint64_t slot_id = model.id_of(2);
+  model.Cancel(2);
+  model.ExpectAgrees();
+  SimTime next = 0;
+  ASSERT_TRUE(sim.NextEventTime(&next));
+  EXPECT_EQ(next, Milliseconds(3));
+  // The stale id now names a free record; the next push reuses it and
+  // takes the slot again. Cancelling the stale id must leave it alone.
+  model.Schedule(Milliseconds(1), 4);
+  model.ExpectAgrees();
+  sim.Cancel(slot_id);
+  model.ExpectAgrees();
+  EXPECT_EQ(model.next_tag(), 4);
+  // Cancelling the only pending event, in the slot, leaves the store idle.
+  Simulator lone;
+  auto id = lone.Schedule(Seconds(1), [] {});
+  lone.Cancel(id);
+  EXPECT_TRUE(lone.Idle());
+  EXPECT_EQ(lone.pending_events(), 0u);
+  EXPECT_FALSE(lone.NextEventTime(&next));
+  EXPECT_EQ(lone.pool_free(), lone.pool_capacity());
+  sim.RunAll();
+  model.ExpectAgrees();
+  EXPECT_EQ(model.fired(), 3u);
+  EXPECT_EQ(model.mismatches(), 0u);
+}
+
+TEST(EventHeapTest, RunUntilDoneStopsWhileTheSlotIsFull) {
+  Simulator sim;
+  ReferenceModel model(&sim);
+  int next_tag = 10;
+  model.Schedule(Seconds(5), 0);
+  // Each event puts its successor in the slot before done() is asked.
+  model.on_fire = [&](int) { model.Schedule(Milliseconds(1), next_tag++); };
+  model.Schedule(Milliseconds(1), next_tag++);
+  EXPECT_EQ(sim.RunUntil(Seconds(1), [&] { return model.fired() == 3; }), 3u);
+  model.ExpectAgrees();
+  EXPECT_EQ(sim.Now(), Milliseconds(3));
+  EXPECT_EQ(sim.pending_events(), 2u);
+  SimTime next = 0;
+  ASSERT_TRUE(sim.NextEventTime(&next));
+  EXPECT_EQ(next, Milliseconds(4));
+  // Running on to a deadline past the slot's entry, but short of the
+  // timer, runs the chain up to it and settles the clock.
+  EXPECT_EQ(sim.RunUntil(Milliseconds(5) + 1, [] { return false; }), 2u);
+  model.ExpectAgrees();
+  EXPECT_EQ(sim.Now(), Milliseconds(5) + 1);
+  model.on_fire = nullptr;
+  sim.RunAll();
+  model.ExpectAgrees();
+  EXPECT_EQ(model.mismatches(), 0u);
+}
+
+TEST(EventHeapTest, SeededChainChurnMatchesReferenceModel) {
+  // The churn above, with sub-millisecond successors scheduled from inside
+  // callbacks: most land ahead of everything pending, so the slot fills,
+  // demotes, and is cancelled constantly.
+  Simulator sim;
+  ReferenceModel model(&sim);
+  std::uint64_t lcg = 777;
+  auto next = [&lcg] {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return lcg >> 33;
+  };
+  int next_tag = 0;
+  model.on_fire = [&](int tag) {
+    if (tag % 3 != 0) {
+      model.Schedule(Microseconds(static_cast<double>(next() % 900)), next_tag++);
+    }
+  };
+  for (int op = 0; op < 20'000; ++op) {
+    std::uint64_t r = next() % 100;
+    if (r < 30) {
+      model.Schedule(Microseconds(static_cast<double>(next() % 3000)), next_tag++);
+    } else if (r < 45) {
+      auto tags = model.live_tags();
+      if (!tags.empty()) {
+        model.Cancel(tags[next() % tags.size()]);
+      }
+    } else if (r < 55) {
+      model.CancelStale(next());
+    } else if (r < 60) {
+      model.Reserve();
+    } else if (r < 65) {
+      model.ScheduleReserved(Microseconds(static_cast<double>(next() % 3000)),
+                             next_tag++, next());
+    } else if (r < 90) {
+      sim.Step();
+    } else {
+      sim.RunUntil(sim.Now() + Microseconds(static_cast<double>(next() % 2000)));
+    }
+    model.ExpectAgrees();
+    ASSERT_EQ(model.mismatches(), 0u) << "diverged at op " << op;
+  }
+  model.on_fire = nullptr;
+  sim.RunAll();
+  model.ExpectAgrees();
+  EXPECT_EQ(model.mismatches(), 0u);
+  EXPECT_GT(model.fired(), 5'000u);
+}
+
+// Event records: a callable is stored inline or boxed, and either way it is
+// destroyed exactly once, whether it runs, is cancelled, or is still pending
+// when the simulator goes.
+struct Padding {
+  char bytes[Simulator::kInlineBytes];
+};
+
+TEST(EventRecordTest, CapturesAreDestroyedExactlyOnce) {
+  auto probe = std::make_shared<int>(0);
+  auto small = [probe] { ++*probe; };
+  auto large = [probe, pad = Padding{}] { *probe += 1 + pad.bytes[0]; };
+  static_assert(Simulator::StoresInline<decltype(small)>());
+  static_assert(!Simulator::StoresInline<decltype(large)>());
+  auto check = [&probe](const auto& fn) {
+    const long base = probe.use_count();
+    {
+      Simulator sim;
+      sim.Schedule(Seconds(1), fn);
+      EXPECT_EQ(probe.use_count(), base + 1);
+      sim.Schedule(Seconds(2), [&probe, base] { EXPECT_EQ(probe.use_count(), base); });
+      sim.RunAll();
+      EXPECT_EQ(probe.use_count(), base);
+      auto id = sim.Schedule(Seconds(1), fn);
+      sim.Cancel(id);
+      EXPECT_EQ(probe.use_count(), base);
+      sim.Schedule(Seconds(1), fn);
+      sim.Schedule(Seconds(2), fn);
+      EXPECT_EQ(probe.use_count(), base + 2);
+    }
+    EXPECT_EQ(probe.use_count(), base);  // ~Simulator destroyed both
+  };
+  check(small);
+  check(large);
+  EXPECT_EQ(*probe, 2);
+}
+
+TEST(EventRecordTest, CallbackCanScheduleIntoItsOwnRecycledSlot) {
+  Simulator sim;
+  auto probe = std::make_shared<int>(42);
+  std::vector<int> seen;
+  sim.Schedule(Seconds(1), [&sim, &seen, probe, tag = 7] {
+    // The record this runs from is free already: the next push takes it
+    // (and the slot) and overwrites its payload. This callable's captures
+    // must not change under it.
+    sim.Schedule(Seconds(1), [&seen, pad = Padding{}, n = 9] { seen.push_back(n); });
+    EXPECT_EQ(sim.pool_capacity(), 1u);
+    seen.push_back(tag);
+    seen.push_back(*probe);
+  });
+  sim.RunAll();
+  EXPECT_EQ(seen, (std::vector<int>{7, 42, 9}));
+  EXPECT_EQ(sim.pool_capacity(), 1u);
+  EXPECT_EQ(probe.use_count(), 1);
+}
+
+TEST(EventRecordTest, DestroyingAPendingCaptureMayCancelAnother) {
+  // ~Simulator pops one event at a time, so a capture whose destructor
+  // cancels another pending event finds the store consistent.
+  int cancels = 0;
+  {
+    Simulator sim;
+    auto other = sim.Schedule(Seconds(2), [] {});
+    std::shared_ptr<void> guard(nullptr, [&sim, &cancels, other](void*) {
+      sim.Cancel(other);
+      ++cancels;
+    });
+    sim.Schedule(Seconds(1), [guard] {});
+    sim.Schedule(Seconds(3), [] {});
+    guard.reset();
+  }
+  EXPECT_EQ(cancels, 1);
 }
 
 TEST(EventHeapTest, CancelRootLastEntryAndFromInsideCallback) {

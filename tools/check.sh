@@ -296,10 +296,9 @@ if [ "$run_fuzz" = 1 ]; then
   # shellcheck disable=SC2086
   cmake -B build-fuzz -S . -DUPR_FUZZ=ON -DUPR_SANITIZE=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo $extra_flags >/dev/null
-  fuzz_targets="kiss ax25_frame ax25_xid ipv4 tcp udp icmp arp pcapng faults json"
-  # shellcheck disable=SC2086
-  cmake --build build-fuzz -j"${jobs}" --target fuzz_corpus \
-    $(for t in $fuzz_targets; do printf 'fuzz_%s ' "$t"; done)
+  # The target list is fuzz/targets/registry.cc's; configure writes it out.
+  fuzz_targets=$(cat build-fuzz/fuzz/fuzz-all.txt)
+  cmake --build build-fuzz -j"${jobs}" --target fuzz_corpus fuzz_all
 
   fuzz_time=${UPR_FUZZ_TIME:-60}
   for t in $fuzz_targets; do
